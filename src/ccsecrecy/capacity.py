@@ -16,7 +16,6 @@ from .constellation import Constellation
 from .integrate import (
     HermiteRule,
     MCConfig,
-    expect_complex_gaussian,
     gauss_hermite,
     mc_expect_complex_gaussian,
 )
@@ -26,6 +25,11 @@ LN2 = math.log(2.0)
 # Mutual information below 0 or above log2(M) by more than this is treated as
 # a numerical failure rather than roundoff to clamp away.
 CLAMP_LIMIT = 1e-9
+
+# Byte budget for one block of orbits in cc_output_entropy's temporaries. It
+# stays under glibc's 128 KiB mmap threshold, above which every call would map
+# and fault in fresh pages instead of reusing the heap.
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,22 @@ def _logsumexp_last(a: np.ndarray) -> np.ndarray:
     return np.squeeze(peak, -1) + np.log(np.sum(np.exp(a - peak), axis=-1))
 
 
+def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of the separable mixture, scaled to stay finite.
+
+    For offsets u (orbits x points) and nodes t, the exponent -(t_a + u_j)^2
+    is taken relative to the u = 0 term, giving e = -u_j (2 t_a + u_j) <= t_a^2,
+    and each row (orbit, node) is then shifted by half its maximum, which is
+    at least the u = 0 term's 0. Returns exp of the shifted exponents,
+    shape (orbits, nodes, points), and the shifts, shape (orbits, nodes).
+    """
+    e = -u[:, None, :] * (2.0 * t[None, :, None] + u[:, None, :])
+    shift = 0.5 * e.max(axis=-1)
+    np.subtract(e, shift[..., None], out=e)
+    np.exp(e, out=e)
+    return e, shift
+
+
 def cc_output_entropy(
     c: Constellation, snr: float, variance: float, rule: HermiteRule
 ) -> float:
@@ -125,25 +145,50 @@ def cc_output_entropy(
                - (1/M) * sum_i E_n[ log2 sum_j exp(-|n + sqrt(snr)(x_i - x_j)|^2
                                                    / variance) ]
 
-    with the inner sum evaluated through a stable log-sum-exp and the outer
-    expectation through the Gauss-Hermite rule.
+    with the expectation taken by the tensor Gauss-Hermite rule at the nodes
+    n = sqrt(variance) * (t_a + i t_b). On that grid each term of the sum
+    factors into a real-axis and an imaginary-axis exponential, so the
+    mixture for point i over all n^2 nodes is one (n x M) @ (M x n) product.
+    The grid and its weights are invariant under the square's symmetries, so
+    only one point per orbit of the constellation (Constellation.orbits) is
+    evaluated, weighted by the orbit's size.
     """
     if snr < 0.0:
         raise ValueError(f"snr must be nonnegative, got {snr}")
     if variance <= 0.0:
         raise ValueError(f"noise variance must be positive, got {variance}")
+    t, w = rule.nodes, rule.weights
     points = c.points
-    root = math.sqrt(snr)
+    orbits = c.orbits
+    sizes = np.array([len(orbit) for orbit in orbits], dtype=float)
+    reps = [orbit[0] for orbit in orbits]
+    # Offsets in units of the per-axis noise scale sqrt(variance).
+    offsets = math.sqrt(snr / variance) * (points[reps, None] - points[None, :])
+    wsum = float(w.sum())
+    # Orbits per block: the largest temporary per orbit is the n x n mixture
+    # or an n x M factor, in float64.
+    step = max(1, _BLOCK_BYTES // (8 * t.size * max(t.size, c.size)))
+    # total = sum over orbits of size * sum_ab w_a w_b log S(a, b) in nats, with
+    # log S = -(t_a^2 + t_b^2) + re_shift_a + im_shift_b + log mixture_ab; each
+    # part but the last is a one-axis sum against the weights.
     total = 0.0
-    for i in range(c.size):
-        diffs = root * (points[i] - points)
-
-        def integrand(n, diffs=diffs):
-            gaps = np.abs(np.asarray(n)[..., None] + diffs) ** 2
-            return _logsumexp_last(-gaps / variance) / LN2
-
-        total += expect_complex_gaussian(integrand, variance, rule)
-    return math.log2(c.size) + math.log2(math.pi * variance) - total / c.size
+    for lo in range(0, len(reps), step):
+        block = offsets[lo:lo + step]
+        re_factor, re_shift = _shifted_factor(t, block.real)
+        im_factor, im_shift = _shifted_factor(t, block.imag)
+        mixture = np.matmul(re_factor, im_factor.transpose(0, 2, 1))
+        np.log(mixture, out=mixture)
+        per_orbit = mixture @ w @ w + wsum * (re_shift @ w + im_shift @ w)
+        total += float(sizes[lo:lo + step] @ per_orbit)
+    total -= 2.0 * c.size * wsum * float(w @ (t * t))
+    if not math.isfinite(total):
+        raise ValueError(
+            f"integrand is not finite at snr={snr!r}, variance={variance!r}: got {total}"
+        )
+    return (
+        math.log2(c.size) + math.log2(math.pi * variance)
+        - total / (math.pi * LN2 * c.size)
+    )
 
 
 def _clamp_bits(raw: float, upper: float, *, strict: bool) -> tuple[float, float]:

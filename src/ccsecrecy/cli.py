@@ -25,7 +25,7 @@ from .capacity import (
     gaussian_secrecy_capacity,
 )
 from .constellation import Constellation, from_points, make_bpsk, make_psk, make_qam
-from .integrate import MCConfig, gauss_hermite
+from .integrate import MAX_ORDER, MCConfig, gauss_hermite
 from .optimize import SearchOptions, SweepRow, find_secrecy_maximum, sweep_max_vs_sigma
 
 CSV_HEADER = "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap"
@@ -87,7 +87,7 @@ def parse_constellation_selector(selector: str) -> Constellation:
             raise ValueError(f"bad constellation file {path}: {exc}") from exc
         if not isinstance(payload, list) or not all(
             isinstance(p, list) and len(p) == 2 and
-            all(isinstance(v, (int, float)) for v in p)
+            all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
             for p in payload
         ):
             raise ValueError(
@@ -369,17 +369,24 @@ def _cmd_constellation(ns) -> int:
     return 0
 
 
+def _gh_order(text: str) -> int:
+    """argparse type for --gh-order: an integer in [1, MAX_ORDER]."""
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 1 <= order <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_ORDER}], got {order}")
+    return order
+
+
 def _add_common(parser: argparse.ArgumentParser, *, sigma_required: bool) -> None:
     parser.add_argument("--constellation", required=True,
                         help="bpsk, psk<M>, qam<M>, or file:<path>")
     parser.add_argument("--sigma2", required=sigma_required,
                         help="eavesdropper noise ratio(s): comma list or lo:hi:step")
-    parser.add_argument("--gh-order", type=int, default=32,
-                        help="Gauss-Hermite order (default 32)")
-    parser.add_argument("--mc-samples", type=int, default=None,
-                        help="switch to Monte-Carlo with this many samples")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="Monte-Carlo seed (default 0)")
+    parser.add_argument("--gh-order", type=_gh_order, default=32,
+                        help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -404,6 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SNR in dB: a value or start:stop:step "
                             "(write --snr-db=-10:40:0.5 when it starts negative)")
         _add_common(p, sigma_required=default_sigma is None)
+        p.add_argument("--mc-samples", type=int, default=None,
+                       help="switch to Monte-Carlo with this many samples")
+        p.add_argument("--seed", type=int, default=0,
+                       help="Monte-Carlo seed (default 0)")
         p.set_defaults(func=lambda ns, cmd=name, ds=default_sigma:
                        _run_sweep(ns, cmd, default_sigma=ds))
 

@@ -4,17 +4,61 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 ENERGY_TOL = 1e-12
 DUPLICATE_TOL = 1e-12
+# A square symmetry must map every point this close to another point. Points
+# built by rotation, reflection or sign flips map exactly; psk<M> maps within
+# a few ulp, since each point comes from its own complex exponential.
+SYMMETRY_TOL = 1e-13
+
+# The symmetries of the square, z -> g * z and z -> g * conj(z).
+_QUARTER_TURNS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 def _min_pairwise_distance(points: np.ndarray) -> float:
     gaps = np.abs(points[:, None] - points[None, :])
     i, j = np.triu_indices(points.size, k=1)
     return float(gaps[i, j].min())
+
+
+def _require_finite(points: np.ndarray) -> None:
+    if not np.all(np.isfinite(points)):
+        bad = int(np.flatnonzero(~np.isfinite(points))[0])
+        raise ValueError(
+            f"constellation points must be finite, got {points[bad]} at index {bad}"
+        )
+
+
+def _square_orbits(points: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the point indices under the square symmetries the set admits."""
+    m = points.size
+    perms = []
+    for turn in _QUARTER_TURNS:
+        for image in (turn * points, turn * np.conj(points)):
+            gaps = np.abs(image[:, None] - points[None, :])
+            nearest = np.argmin(gaps, axis=1)
+            if (
+                gaps[np.arange(m), nearest].max() <= SYMMETRY_TOL
+                and np.bincount(nearest, minlength=m).max() == 1
+            ):
+                perms.append(nearest)
+    images = np.array(perms)
+    # Label each point by the smallest index among its images, until no label
+    # changes; the minimum then has travelled round every permutation cycle.
+    label = np.arange(m)
+    while True:
+        lowest = label[images].min(axis=0)
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    return tuple(
+        tuple(np.flatnonzero(label == rep).tolist())
+        for rep in np.flatnonzero(label == np.arange(m))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,6 +72,7 @@ class Constellation:
         points = np.array(self.points, dtype=np.complex128)
         if points.ndim != 1 or points.size < 2:
             raise ValueError("a constellation needs at least 2 points")
+        _require_finite(points)
         energy = float(np.mean(np.abs(points) ** 2))
         if abs(energy - 1.0) > ENERGY_TOL:
             raise ValueError(
@@ -44,6 +89,17 @@ class Constellation:
     @property
     def size(self) -> int:
         return int(self.points.size)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Point indices grouped by orbit under the set's square symmetries.
+
+        The symmetries are the rotations by multiples of 90 degrees and the
+        reflections z -> i^k * conj(z) that map the set onto itself. Orbits
+        are sorted by their smallest index, which comes first in each; a set
+        with no such symmetry has one singleton orbit per point.
+        """
+        return _square_orbits(self.points)
 
 
 def make_bpsk() -> Constellation:
@@ -81,12 +137,14 @@ def make_qam(m: int) -> Constellation:
 def from_points(raw, name: str = "custom") -> Constellation:
     """Build a constellation from arbitrary complex points, normalizing energy.
 
-    Raises if fewer than 2 points are given, if the set has zero total energy,
-    or if two points coincide after normalization.
+    Raises if fewer than 2 points are given, if any point is NaN or infinite,
+    if the set has zero total energy, or if two points coincide after
+    normalization.
     """
     points = np.asarray(raw, dtype=np.complex128)
     if points.ndim != 1 or points.size < 2:
         raise ValueError("a constellation needs at least 2 points")
+    _require_finite(points)
     energy = float(np.mean(np.abs(points) ** 2))
     if energy <= 0.0:
         raise ValueError("degenerate constellation: total energy is zero")

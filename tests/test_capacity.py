@@ -32,6 +32,38 @@ ORACLE_BPSK_STDERR = 3.670e-04
 LOG2_PI_E = math.log2(math.pi * math.e)
 
 
+def _asym16():
+    """16 seeded points with no rotation or reflection symmetry."""
+    rng = np.random.default_rng(20251017)
+    return from_points(rng.standard_normal(16) + 1j * rng.standard_normal(16), "asym16")
+
+
+KERNEL_CONSTELLATIONS = {
+    "bpsk": make_bpsk,
+    "qam4": lambda: make_qam(4),
+    "psk8": lambda: make_psk(8),
+    "qam16": lambda: make_qam(16),
+    "qam64": lambda: make_qam(64),
+    "asym16": _asym16,
+}
+
+
+def _direct_output_entropy(points, snr, variance, order):
+    """h(y) in bits by the direct M * n^2 * M tensor Gauss-Hermite sum."""
+    t, w = np.polynomial.hermite.hermgauss(order)
+    noise = math.sqrt(variance) * (t[:, None] + 1j * t[None, :])
+    weights = np.outer(w, w) / math.pi
+    total = 0.0
+    for x in points:
+        gaps = np.abs(noise[..., None] + math.sqrt(snr) * (x - points)) ** 2
+        exponents = -gaps / variance
+        peak = exponents.max(axis=-1)
+        lse = peak + np.log(np.exp(exponents - peak[..., None]).sum(axis=-1))
+        total += float((weights * lse).sum())
+    m = points.size
+    return math.log2(m * math.pi * variance) - total / (m * math.log(2.0))
+
+
 def test_normalize_channel_divides_by_main_noise():
     ch = normalize_channel(10.0, 1.0, 5.0)
     assert ch.snr == 10.0 and ch.sigma_sq == 5.0
@@ -277,3 +309,54 @@ def test_quadrature_convergence_gap(reference_constellations):
             }
             assert abs(mi[24] - mi[48]) <= 5e-4, (c.name, db)
             assert abs(mi[32] - mi[64]) <= 2e-4, (c.name, db)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONSTELLATIONS))
+def test_output_entropy_matches_direct_sum(name):
+    c = KERNEL_CONSTELLATIONS[name]()
+    for order in (8, 16, 32, 64):
+        rule = gauss_hermite(order)
+        for db in (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0):
+            for variance in (1.0, 5.0, 20.0):
+                snr = 10.0 ** (db / 10.0)
+                got = cc_output_entropy(c, snr, variance, rule)
+                want = _direct_output_entropy(c.points, snr, variance, order)
+                assert abs(got - want) <= 1e-12, (order, db, variance)
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("bpsk", [2]),
+        ("qam4", [4]),
+        ("psk8", [4, 4]),
+        ("qam16", [4, 4, 8]),
+        ("qam64", [4] * 4 + [8] * 6),
+        ("asym16", [1] * 16),
+    ],
+)
+def test_constellation_orbits(name, sizes):
+    c = KERNEL_CONSTELLATIONS[name]()
+    orbits = c.orbits
+    assert sorted(len(orbit) for orbit in orbits) == sizes
+    assert sum(len(orbit) for orbit in orbits) == c.size
+    assert sorted(i for orbit in orbits for i in orbit) == list(range(c.size))
+    # Members of an orbit share |x|, which every square symmetry preserves.
+    for orbit in orbits:
+        radii = np.abs(c.points[list(orbit)])
+        assert np.ptp(radii) <= 1e-12
+
+
+def test_output_entropy_finite_at_max_order_and_high_snr():
+    rule = gauss_hermite(200)
+    for variance in (1.0, 20.0):
+        est = cc_mutual_information(make_qam(64), 1e6, variance, rule)
+        assert math.isfinite(est.bits)
+        assert abs(est.bits - 6.0) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_output_entropy_rejects_nonfinite_snr(rule32):
+    for snr in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            cc_output_entropy(make_qam(16), snr, 1.0, rule32)

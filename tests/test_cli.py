@@ -60,6 +60,24 @@ def test_selector_errors(tmp_path):
         parse_constellation_selector(f"file:{shape}")
 
 
+def test_selector_file_rejects_booleans(tmp_path):
+    path = tmp_path / "bools.json"
+    path.write_text("[[true, 0], [false, 1], [0, -1]]")
+    with pytest.raises(ValueError, match="re, im"):
+        parse_constellation_selector(f"file:{path}")
+    assert run_cli(["constellation", "--constellation", f"file:{path}"]) == 2
+
+
+def test_selector_file_rejects_nonfinite_points(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text("[[1, 0], [NaN, 0], [0, -1]]")
+    with pytest.raises(ValueError, match="finite"):
+        parse_constellation_selector(f"file:{path}")
+    assert run_cli(
+        ["sweep", "--constellation", f"file:{path}", "--snr-db", "5", "--sigma2", "4"]
+    ) == 2
+
+
 def test_grid_parsing():
     assert _parse_grid("5", "--snr-db") == (5.0,)
     grid = _parse_grid("-10:40:0.5", "--snr-db")
@@ -314,3 +332,18 @@ def test_surface_cross_product(tmp_path):
     ) == 0
     _, rows = _read_rows(out)
     assert len(rows) == 3 * 3
+
+
+@pytest.mark.parametrize("order", ["0", "-3", "201", "x"])
+def test_gh_order_out_of_range_is_usage_error(order):
+    for args in (
+        ["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "4"],
+        ["maximize", "--constellation", "bpsk", "--sigma2", "4"],
+    ):
+        assert run_cli(args + [f"--gh-order={order}"]) == 1
+
+
+@pytest.mark.parametrize("command", ["maximize", "max-sweep"])
+@pytest.mark.parametrize("flag", [["--mc-samples", "1000"], ["--seed", "3"]])
+def test_peak_commands_reject_monte_carlo_flags(command, flag):
+    assert run_cli([command, "--constellation", "bpsk", "--sigma2", "4", *flag]) == 1

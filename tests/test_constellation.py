@@ -120,6 +120,14 @@ def test_constellation_rejects_wrong_energy():
         Constellation("hot", np.array([2.0 + 0.0j, -2.0 + 0.0j]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_nonfinite_points_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        from_points([1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        Constellation("bad", np.array([1.0, bad, -1.0], dtype=complex))
+
+
 def test_points_are_read_only():
     c = make_bpsk()
     with pytest.raises(ValueError):
