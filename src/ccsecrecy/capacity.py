@@ -31,6 +31,10 @@ CLAMP_LIMIT = 1e-9
 # and fault in fresh pages instead of reusing the heap.
 _BLOCK_BYTES = 1 << 16
 
+# Byte budget for the exponent buffer of one block of Monte-Carlo samples
+# (M^2 float64 per sample); it bounds the MC path's memory for any M.
+_MC_BLOCK_BYTES = 1 << 19
+
 
 @dataclass(frozen=True)
 class WiretapChannel:
@@ -109,12 +113,6 @@ def logsumexp(values) -> float:
     if peak == -math.inf:
         return peak
     return peak + math.log(float(np.sum(np.exp(a - peak))))
-
-
-def _logsumexp_last(a: np.ndarray) -> np.ndarray:
-    """Stable log-sum-exp over the last axis for finite inputs."""
-    peak = np.max(a, axis=-1, keepdims=True)
-    return np.squeeze(peak, -1) + np.log(np.sum(np.exp(a - peak), axis=-1))
 
 
 def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,20 +236,47 @@ def cc_mutual_information_mc(
     Averages the per-symbol log-sum-exp terms over one shared seeded noise
     stream; the reported error bound is the standard error of the estimate.
     Sampling noise near the rate limits is clamped without complaint.
+    Samples are taken in blocks whose M^2 exponents fit _MC_BLOCK_BYTES (one
+    sample at least), so the kernel's buffers do not grow with the sample
+    count.
     """
     if snr < 0.0:
         raise ValueError(f"snr must be nonnegative, got {snr}")
-    points = c.points
-    root = math.sqrt(snr)
     m = c.size
+    # Exponents are taken relative to the j = i term:
+    #   -|n + d_ij|^2 / v = -|n|^2 / v - (2 Re(n conj d_ij) + |d_ij|^2) / v
+    # with d_ij = sqrt(snr)(x_i - x_j), so a block's M^2 relative exponents
+    # are one [Re n, Im n, 1] @ coef product.
+    d = math.sqrt(snr) * (c.points[:, None] - c.points[None, :]).ravel()
+    coef = np.stack([-2.0 * d.real, -2.0 * d.imag, -(d.real ** 2 + d.imag ** 2)])
+    coef /= variance
+    step = max(1, _MC_BLOCK_BYTES // (8 * m * m))
+    rows = np.ones((step, 3))
+    expo = np.empty((step, m * m))
+    logs = np.empty(step * m)
+    ones = np.ones(m)
 
     def pooled(n):
         n = np.asarray(n)
-        acc = 0.0
-        for i in range(m):
-            gaps = np.abs(n[..., None] + root * (points[i] - points)) ** 2
-            acc = acc + _logsumexp_last(-gaps / variance) / LN2
-        return acc / m
+        values = np.empty(n.size)
+        for lo in range(0, n.size, step):
+            block = n[lo:lo + step]
+            b = block.size
+            rows[:b, 0] = block.real
+            rows[:b, 1] = block.imag
+            e = np.matmul(rows[:b], coef, out=expo[:b])
+            # No max shift is needed: each relative exponent is at most
+            # |n|^2 / v, which for a stream sample is -ln(1 - u) < 37 since
+            # u <= 1 - 2^-53, so exp cannot overflow; the j = i term is
+            # exactly exp(0) = 1, so every log argument is at least 1.
+            np.exp(e, out=e)
+            s = np.matmul(e.reshape(b * m, m), ones, out=logs[:b * m])
+            np.log(s, out=s)
+            np.matmul(s.reshape(b, m), ones, out=values[lo:lo + b])
+        values /= m
+        values -= (n.real ** 2 + n.imag ** 2) / variance
+        values /= LN2
+        return values
 
     mean, stderr = mc_expect_complex_gaussian(pooled, variance, cfg)
     raw = math.log2(m / math.e) - mean

@@ -183,23 +183,25 @@ def _emit_max_csv(constellation: str, rows, target) -> None:
 
 
 def _meta(command: str, spec: SweepSpec, **extra) -> dict:
+    mc = spec.mc_samples
     meta = {
         "tool": "ccsecrecy",
         "version": __version__,
         "command": command,
         "constellation": spec.selector,
-        "method": "monte_carlo" if spec.mc_samples else "gauss_hermite",
-        "gh_order": None if spec.mc_samples else spec.gh_order,
-        "mc_samples": spec.mc_samples,
-        "seed": spec.seed if spec.mc_samples else None,
+        "method": "gauss_hermite" if mc is None else "monte_carlo",
+        "gh_order": spec.gh_order if mc is None else None,
+        "mc_samples": mc,
+        "seed": None if mc is None else spec.seed,
     }
     meta.update(extra)
     return meta
 
 
 def _build_records(c: Constellation, spec: SweepSpec) -> list[CurveRecord]:
-    rule = None if spec.mc_samples else gauss_hermite(spec.gh_order)
-    cfg = MCConfig(spec.mc_samples, spec.seed) if spec.mc_samples else None
+    mc = spec.mc_samples
+    rule = gauss_hermite(spec.gh_order) if mc is None else None
+    cfg = None if mc is None else MCConfig(mc, spec.seed)
 
     def mi(snr: float, variance: float) -> float:
         if cfg is not None:
@@ -369,15 +371,25 @@ def _cmd_constellation(ns) -> int:
     return 0
 
 
-def _gh_order(text: str) -> int:
-    """argparse type for --gh-order: an integer in [1, MAX_ORDER]."""
-    try:
-        order = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if not 1 <= order <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_ORDER}], got {order}")
-    return order
+def _int_in(low: int, high: int | None, bounds: str):
+    """argparse type for an integer in [low, high), or >= low if high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low or (high is not None and value >= high):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+_gh_order = _int_in(1, MAX_ORDER + 1, f"in [1, {MAX_ORDER}]")
+# A standard error needs at least two samples.
+_mc_samples = _int_in(2, None, "at least 2")
+_seed = _int_in(0, 2**64, "in [0, 2^64)")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, sigma_required: bool) -> None:
@@ -411,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SNR in dB: a value or start:stop:step "
                             "(write --snr-db=-10:40:0.5 when it starts negative)")
         _add_common(p, sigma_required=default_sigma is None)
-        p.add_argument("--mc-samples", type=int, default=None,
-                       help="switch to Monte-Carlo with this many samples")
-        p.add_argument("--seed", type=int, default=0,
-                       help="Monte-Carlo seed (default 0)")
+        p.add_argument("--mc-samples", type=_mc_samples, default=None,
+                       help="switch to Monte-Carlo with this many samples (at least 2)")
+        p.add_argument("--seed", type=_seed, default=0,
+                       help="Monte-Carlo seed in [0, 2^64) (default 0)")
         p.set_defaults(func=lambda ns, cmd=name, ds=default_sigma:
                        _run_sweep(ns, cmd, default_sigma=ds))
 

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ccsecrecy import capacity
 from ccsecrecy import (
     MCConfig,
     WiretapChannel,
@@ -10,6 +12,7 @@ from ccsecrecy import (
     cc_mutual_information_mc,
     cc_output_entropy,
     cc_secrecy_capacity,
+    complex_gaussian_sample_stream,
     conditional_density,
     expect_complex_gaussian,
     from_points,
@@ -360,3 +363,85 @@ def test_output_entropy_rejects_nonfinite_snr(rule32):
     for snr in (math.inf, math.nan):
         with pytest.raises(ValueError, match="not finite"):
             cc_output_entropy(make_qam(16), snr, 1.0, rule32)
+
+
+def _direct_mc_values(points, snr, variance, n):
+    """Per-sample MC integrand in bits: per point i, the complex abs, then a
+    log-sum-exp over j shifted by its maximum, averaged over i."""
+    acc = np.zeros(n.size)
+    for x in points:
+        exponents = -np.abs(n[:, None] + math.sqrt(snr) * (x - points)) ** 2 / variance
+        peak = exponents.max(axis=-1)
+        acc += peak + np.log(np.exp(exponents - peak[:, None]).sum(axis=-1))
+    return acc / (points.size * math.log(2.0))
+
+
+def _mc_with_kernel(monkeypatch, c, snr, variance, cfg):
+    """Run cc_mutual_information_mc and also return the integrand it passed
+    to mc_expect_complex_gaussian."""
+    seen = []
+    real = capacity.mc_expect_complex_gaussian
+
+    def spy(f, var, config):
+        seen.append(f)
+        return real(f, var, config)
+
+    monkeypatch.setattr(capacity, "mc_expect_complex_gaussian", spy)
+    est = cc_mutual_information_mc(c, snr, variance, cfg)
+    return est, seen[0]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CONSTELLATIONS))
+def test_mc_kernel_matches_direct_sum(monkeypatch, name):
+    c = KERNEL_CONSTELLATIONS[name]()
+    m = c.size
+    cfg = MCConfig(2000, 11)
+    for db in (-10.0, 0.0, 10.0, 25.0, 40.0):
+        for variance in (1.0, 5.0, 20.0):
+            snr = 10.0 ** (db / 10.0)
+            est, kernel = _mc_with_kernel(monkeypatch, c, snr, variance, cfg)
+            n = complex_gaussian_sample_stream(variance, cfg)[:]
+            want = _direct_mc_values(c.points, snr, variance, n)
+            got = kernel(n)
+            assert np.max(np.abs(got - want)) <= 1e-12, (db, variance)
+            raw = math.log2(m / math.e) - want.mean()
+            bits = min(max(raw, 0.0), math.log2(m))
+            stderr = want.std(ddof=1) / math.sqrt(want.size)
+            assert abs(est.bits - bits) <= 1e-12, (db, variance)
+            assert abs(est.error_bound - max(stderr, abs(bits - raw))) <= 1e-12
+
+
+def test_mc_kernel_finite_at_largest_stream_radius(monkeypatch):
+    # The stream's uniforms are k * 2^-53 with k < 2^53, so its largest
+    # radius is |n|^2 = -variance * ln(2^-53); at 60 dB the qam64 offsets
+    # are about 1e3 times larger.
+    c = make_qam(64)
+    snr = 1e6
+    angles = np.concatenate([np.arange(8) * math.pi / 4, [0.1, 2.0, 4.5]])
+    for variance in (1.0, 20.0):
+        _, kernel = _mc_with_kernel(monkeypatch, c, snr, variance, MCConfig(2, 0))
+        radius = math.sqrt(-variance * math.log(2.0 ** -53))
+        n = radius * np.exp(1j * angles)
+        got = kernel(n)
+        assert np.all(np.isfinite(got))
+        want = _direct_mc_values(c.points, snr, variance, n)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_mc_memory_is_bounded_by_constellation_size():
+    # The kernel holds a (3, M^2) coefficient matrix, built from an M^2
+    # complex difference array, and one block of exponents of at most
+    # max(_MC_BLOCK_BYTES, 8 M^2) bytes; none of it grows with the sample
+    # count. For qam256 that is 1.5 + 1 MiB plus a 512 KiB block, and the
+    # temporaries of building the matrix; 6 MiB bounds it all. A per-point
+    # sum over all samples at once would hold (samples, 256) complex arrays,
+    # 4 MiB each at 1024 samples.
+    c = make_qam(256)
+    tracemalloc.start()
+    try:
+        est = cc_mutual_information_mc(c, 100.0, 1.0, MCConfig(1024, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.bits <= 8.0
+    assert peak <= 6 * 2**20, peak

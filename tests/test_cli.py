@@ -347,3 +347,34 @@ def test_gh_order_out_of_range_is_usage_error(order):
 @pytest.mark.parametrize("flag", [["--mc-samples", "1000"], ["--seed", "3"]])
 def test_peak_commands_reject_monte_carlo_flags(command, flag):
     assert run_cli([command, "--constellation", "bpsk", "--sigma2", "4", *flag]) == 1
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--mc-samples", "0"],
+        ["--mc-samples", "1"],
+        ["--mc-samples", "-5"],
+        ["--mc-samples", "many"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
+    ],
+    ids=["samples-0", "samples-1", "samples-negative", "samples-nonint",
+         "seed-negative", "seed-2^64"],
+)
+def test_monte_carlo_flags_out_of_range_are_usage_errors(flag, tmp_path):
+    out = tmp_path / "mi.csv"
+    args = ["mi", "--constellation", "bpsk", "--snr-db", "0", "--out", str(out)]
+    assert run_cli(args + ["--mc-samples", "100"] + flag) == 1
+    assert not out.exists()
+
+
+def test_monte_carlo_flag_range_edges_are_accepted(tmp_path):
+    out = tmp_path / "mi.json"
+    assert run_cli(
+        ["mi", "--constellation", "bpsk", "--snr-db", "0", "--mc-samples", "2",
+         "--seed", str(2**64 - 1), "--format", "json", "--out", str(out)]
+    ) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["method"] == "monte_carlo"
+    assert meta["mc_samples"] == 2 and meta["seed"] == 2**64 - 1
