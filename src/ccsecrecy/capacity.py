@@ -44,8 +44,10 @@ class WiretapChannel:
     sigma_sq: float
 
     def __post_init__(self):
-        if self.snr < 0.0:
-            raise ValueError(f"snr must be nonnegative, got {self.snr}")
+        if not (math.isfinite(self.snr) and self.snr >= 0.0):
+            raise ValueError(f"snr must be finite and nonnegative, got {self.snr}")
+        if not math.isfinite(self.sigma_sq):
+            raise ValueError(f"eavesdropper noise ratio must be finite, got {self.sigma_sq}")
         if self.sigma_sq < 1.0:
             raise ValueError(
                 "eavesdropper noise ratio must be at least 1 "
@@ -190,7 +192,13 @@ def cc_output_entropy(
 
 
 def _clamp_bits(raw: float, upper: float, *, strict: bool) -> tuple[float, float]:
-    """Clamp a rate into [0, upper]; reject clamps beyond roundoff if strict."""
+    """Clamp a rate into [0, upper]; reject clamps beyond roundoff if strict.
+
+    A non-finite rate is rejected in either mode: NaN fails both range
+    comparisons and would pass through the clamp unchanged.
+    """
+    if not math.isfinite(raw):
+        raise ValueError(f"mutual information is not finite: got {raw!r}")
     if strict and (raw < -CLAMP_LIMIT or raw > upper + CLAMP_LIMIT):
         raise ValueError(
             f"mutual information {raw!r} outside [0, {upper}] beyond roundoff; "
@@ -251,14 +259,15 @@ def cc_mutual_information_mc(
     coef = np.stack([-2.0 * d.real, -2.0 * d.imag, -(d.real ** 2 + d.imag ** 2)])
     coef /= variance
     step = max(1, _MC_BLOCK_BYTES // (8 * m * m))
-    rows = np.ones((step, 3))
-    expo = np.empty((step, m * m))
-    logs = np.empty(step * m)
     ones = np.ones(m)
 
     def pooled(n):
+        # The buffers are per call: the MC pieces run this at the same time.
         n = np.asarray(n)
         values = np.empty(n.size)
+        rows = np.ones((step, 3))
+        expo = np.empty((step, m * m))
+        logs = np.empty(step * m)
         for lo in range(0, n.size, step):
             block = n[lo:lo + step]
             b = block.size

@@ -100,13 +100,21 @@ def parse_constellation_selector(selector: str) -> Constellation:
     )
 
 
+def _finite(values: tuple[float, ...], flag: str, text: str) -> tuple[float, ...]:
+    """Return the values parsed from a flag's text if all of them are finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag}: values must be finite, got {text!r}")
+    return values
+
+
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     """Parse '<value>' or '<start>:<stop>:<step>' (stop inclusive on the grid)."""
     if ":" not in text:
         try:
-            return (float(text),)
+            value = float(text)
         except ValueError:
             raise UsageError(f"{flag}: expected a number, got {text!r}") from None
+        return _finite((value,), flag, text)
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag}: expected start:stop:step, got {text!r}")
@@ -114,6 +122,7 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"{flag}: expected numeric start:stop:step, got {text!r}") from None
+    _finite((lo, hi, step), flag, text)
     if step <= 0.0 or hi <= lo:
         raise UsageError(f"{flag}: need start < stop and step > 0, got {text!r}")
     count = int(math.floor((hi - lo) / step + GRID_EDGE_TOL)) + 1
@@ -125,9 +134,10 @@ def _parse_sigma_list(text: str) -> tuple[float, ...]:
     if ":" in text:
         return _parse_grid(text, "--sigma2")
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"--sigma2: expected a comma list of numbers, got {text!r}") from None
+    return _finite(values, "--sigma2", text)
 
 
 def _fmt(value) -> str:
@@ -276,6 +286,8 @@ def _search_options(ns) -> SearchOptions:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"--scan-db: expected numeric lo:hi:step, got {ns.scan_db!r}") from None
+    _finite((lo, hi, step), "--scan-db", ns.scan_db)
+    _finite((ns.tol_db,), "--tol-db", str(ns.tol_db))
     return SearchOptions(
         scan_lo_db=lo,
         scan_hi_db=hi,

@@ -9,6 +9,7 @@ also reports a standard error.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,11 @@ MAX_ORDER = 200
 # words, of which two are used), so advancing the counter by k blocks lands
 # exactly on sample k regardless of what was drawn before.
 _WORDS_PER_BLOCK = 4
+# Monte-Carlo samples are merged in chunks of _CHUNK and drawn and evaluated
+# in pieces of _PIECE. Both grids are fixed, so the result does not depend on
+# how many cores run the pieces.
 _CHUNK = 1 << 19
+_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,15 +173,29 @@ def complex_gaussian_sample_stream(variance: float, cfg: MCConfig) -> ComplexGau
     return ComplexGaussianStream(variance, cfg)
 
 
+def _cores() -> int:
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def mc_expect_complex_gaussian(
     f: Callable, variance: float, cfg: MCConfig
 ) -> tuple[float, float]:
     """Seeded Monte-Carlo estimate of E[f(N)], N ~ CN(0, variance).
 
+    The samples are drawn and evaluated in fixed pieces of _PIECE samples,
+    which a thread pool with one worker per available core runs at the same
+    time; the per-piece values are merged chunk by chunk in sample order.
+
     Parameters
     ----------
     f : callable
         Real-valued function of one complex argument, vectorized or scalar.
+        It is called at the same time from several threads, on disjoint
+        pieces of the sample stream, so it must be thread-safe.
     variance : float
         E|N|^2, must be positive.
     cfg : MCConfig
@@ -186,29 +205,47 @@ def mc_expect_complex_gaussian(
     -------
     (mean, stderr) : tuple of float
         Sample mean and its standard error. Identical (seed, samples,
-        variance, f) reproduce the result bit for bit.
+        variance, f) reproduce the result bit for bit, whatever the number
+        of cores.
     """
+    # Imported here, so that runs without Monte-Carlo do not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     if cfg.samples < 2:
         raise ValueError("need at least 2 samples to estimate a standard error")
     stream = ComplexGaussianStream(variance, cfg)
+
+    def fill(values: np.ndarray, start: int, off: int) -> None:
+        k = min(_PIECE, values.size - off)
+        values[off:off + k] = _evaluate(f, stream.take(start + off, k))
+
     count = 0
     mean = 0.0
     m2 = 0.0
-    for start in range(0, cfg.samples, _CHUNK):
-        block = stream.take(start, min(_CHUNK, cfg.samples - start))
-        values = _evaluate(f, block)
-        if not np.all(np.isfinite(values)):
-            k = int(np.argwhere(~np.isfinite(values))[0][0])
-            raise ValueError(
-                f"integrand is not finite at sample {start + k}: got {values[k]}"
-            )
-        n_b = values.size
-        mean_b = float(values.mean())
-        m2_b = float(np.sum((values - mean_b) ** 2))
-        delta = mean_b - mean
-        total = count + n_b
-        mean += delta * n_b / total
-        m2 += m2_b + delta * delta * count * n_b / total
-        count = total
+    with ThreadPoolExecutor(max_workers=_cores()) as pool:
+        for start in range(0, cfg.samples, _CHUNK):
+            values = np.empty(min(_CHUNK, cfg.samples - start))
+            pieces = [
+                pool.submit(fill, values, start, off)
+                for off in range(0, values.size, _PIECE)
+            ]
+            for piece in pieces:
+                piece.result()
+            if not np.all(np.isfinite(values)):
+                k = int(np.argwhere(~np.isfinite(values))[0][0])
+                raise ValueError(
+                    f"integrand is not finite at sample {start + k}: got {values[k]}"
+                )
+            n_b = values.size
+            mean_b = float(values.mean())
+            # In place, with the same sum as np.sum((values - mean_b) ** 2).
+            values -= mean_b
+            values *= values
+            m2_b = float(values.sum())
+            delta = mean_b - mean
+            total = count + n_b
+            mean += delta * n_b / total
+            m2 += m2_b + delta * delta * count * n_b / total
+            count = total
     stderr = math.sqrt(m2 / (count - 1) / count)
     return mean, stderr

@@ -39,6 +39,9 @@ class SearchOptions:
     gh_order: int = 32
 
     def __post_init__(self):
+        for name in ("scan_lo_db", "scan_hi_db", "scan_step_db", "tol_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.scan_lo_db >= self.scan_hi_db:
             raise ValueError("scan window must satisfy lo < hi")
         if self.scan_step_db <= 0.0:

@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccsecrecy import capacity
+from ccsecrecy import capacity, integrate
 from ccsecrecy import (
     MCConfig,
     WiretapChannel,
@@ -14,6 +15,7 @@ from ccsecrecy import (
     cc_secrecy_capacity,
     complex_gaussian_sample_stream,
     conditional_density,
+    db_to_linear,
     expect_complex_gaussian,
     from_points,
     gauss_hermite,
@@ -90,6 +92,24 @@ def test_wiretap_channel_validation():
         WiretapChannel(-0.1, 2.0)
     with pytest.raises(ValueError, match="noise ratio"):
         WiretapChannel(1.0, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr must be finite"):
+            WiretapChannel(bad, 2.0)
+        with pytest.raises(ValueError, match="noise ratio must be finite"):
+            WiretapChannel(1.0, bad)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_clamp_rejects_nonfinite_rates(strict):
+    for raw in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            capacity._clamp_bits(raw, 1.0, strict=strict)
+
+
+def test_mi_rejects_nan_rate_from_infinite_variance(rule32):
+    # h(y) and the conditional entropy are both +inf, so the raw rate is NaN.
+    with pytest.raises(ValueError, match="not finite"):
+        cc_mutual_information(make_bpsk(), db_to_linear(5.0), math.inf, rule32)
 
 
 def test_conditional_density_values(rule32):
@@ -445,3 +465,45 @@ def test_mc_memory_is_bounded_by_constellation_size():
         tracemalloc.stop()
     assert 0.0 < est.bits <= 8.0
     assert peak <= 6 * 2**20, peak
+
+
+@pytest.mark.parametrize("samples", [3, 2**16 + 3, 2**19 + 1, 10**6])
+def test_mc_mi_does_not_depend_on_the_core_count(monkeypatch, samples):
+    cfg = MCConfig(samples, 5)
+    estimates = []
+    for cores in (1, 3):
+        monkeypatch.setattr(integrate, "_cores", lambda cores=cores: cores)
+        estimates.append(cc_mutual_information_mc(make_psk(8), 10.0, 2.0, cfg))
+    assert estimates[0] == estimates[1]
+
+
+def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
+    # A 2^19-sample chunk keeps only its 4 MiB of values; each of the two
+    # workers holds one 2^16-sample piece of draws and temporaries, about
+    # 4.5 MiB. That measures about 13 MiB traced, so 20 MiB leaves a 7 MiB
+    # margin, and it fails a whole-chunk draw, which peaks at about 36 MiB.
+    monkeypatch.setattr(integrate, "_cores", lambda: 2)
+    tracemalloc.start()
+    try:
+        est = cc_mutual_information_mc(make_bpsk(), 1.0, 1.0, MCConfig(2**19, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.bits <= 1.0
+    assert peak <= 20 * 2**20, peak
+
+
+def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):
+    # Eight workers on fewer cores, switching threads every microsecond: a
+    # kernel buffer shared between pieces would mix their samples.
+    cfg = MCConfig(2**19, 8)
+    monkeypatch.setattr(integrate, "_cores", lambda: 1)
+    want = cc_mutual_information_mc(make_qam(16), 10.0, 1.0, cfg)
+    monkeypatch.setattr(integrate, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = cc_mutual_information_mc(make_qam(16), 10.0, 1.0, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want

@@ -378,3 +378,61 @@ def test_monte_carlo_flag_range_edges_are_accepted(tmp_path):
     meta = json.loads(out.read_text())["meta"]
     assert meta["method"] == "monte_carlo"
     assert meta["mc_samples"] == 2 and meta["seed"] == 2**64 - 1
+
+
+# Non-finite values of every numeric flag are usage errors (exit 1) and write
+# nothing; without the check they ran to a NaN row, an unrefined peak, or a
+# failure deep in the grid or quadrature code.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mi", "--constellation", "bpsk", "--snr-db=-inf"],
+        ["mi", "--constellation", "bpsk", "--snr-db", "inf", "--mc-samples", "100"],
+        ["mi", "--constellation", "bpsk", "--snr-db=0:inf:1"],
+        ["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "inf"],
+        ["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "5,nan"],
+        ["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-30:nan:0.5"],
+        ["maximize", "--constellation", "bpsk", "--sigma2", "5", "--tol-db", "nan"],
+        ["max-sweep", "--constellation", "bpsk", "--sigma2", "5", "--tol-db", "inf"],
+    ],
+    ids=["snr-db", "snr-db-mc", "snr-db-range", "sigma2", "sigma2-list", "scan-db",
+         "tol-db-nan", "tol-db-inf"],
+)
+def test_nonfinite_numbers_are_usage_errors(args, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+# CLI bytes of Monte-Carlo runs, recorded before the samples were spread over
+# cores; the estimate must not depend on how the pieces are scheduled.
+FROZEN_MC_MI = (
+    "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap\n"
+    "qam16,10,1,3.16350672,3.16350672,0,0,3.45943162\n"
+)
+
+FROZEN_MC_SWEEP = (
+    "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap\n"
+    "qam16,0,5,0.989030903,0.26176298,0.727267923,0.736965594,1\n"
+    "qam16,0,20,0.989030903,0.0690329613,0.919997942,0.929610672,1\n"
+    "qam16,10,5,3.16352721,1.54260257,1.62092464,1.87446912,3.45943162\n"
+    "qam16,10,20,3.16352721,0.58236273,2.58116448,2.87446912,3.45943162\n"
+    "qam16,20,5,3.99853771,3.73734328,0.26119443,2.26589406,6.65821148\n"
+    "qam16,20,20,3.99853771,2.43846316,1.56007455,4.07324898,6.65821148\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        (["mi", "--constellation", "qam16", "--snr-db", "10",
+          "--mc-samples", "1000000", "--seed", "1"], FROZEN_MC_MI),
+        (["sweep", "--constellation", "qam16", "--snr-db", "0:20:10", "--sigma2", "5,20",
+          "--mc-samples", "1100003", "--seed", "9"], FROZEN_MC_SWEEP),
+    ],
+    ids=["mi-qam16", "sweep-qam16"],
+)
+def test_monte_carlo_csv_bytes_are_frozen(args, want, tmp_path):
+    out = tmp_path / "mc.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccsecrecy import integrate
 from ccsecrecy import (
     MCConfig,
     complex_gaussian_sample_stream,
@@ -130,6 +131,51 @@ def test_mc_modulus_squared_statistics():
     )
     assert stderr > 0.0
     assert abs(mean - 1.0) <= 4.0 * stderr
+
+
+# Sample counts around the piece (2^16) and chunk (2^19) grids, and the
+# 10^6 of the benchmark's Monte-Carlo workload.
+PIECE_EDGE_SAMPLES = [3, 2**16 + 3, 2**19 + 1, 10**6]
+
+
+@pytest.mark.parametrize("samples", PIECE_EDGE_SAMPLES)
+def test_mc_result_does_not_depend_on_the_core_count(monkeypatch, samples):
+    cfg = MCConfig(samples, 17)
+    results = []
+    for cores in (1, 3):
+        monkeypatch.setattr(integrate, "_cores", lambda cores=cores: cores)
+        results.append(
+            mc_expect_complex_gaussian(lambda z: np.log1p(np.abs(z) ** 3), 2.0, cfg)
+        )
+    assert results[0] == results[1]
+
+
+def test_mc_reports_the_first_nonfinite_sample_across_pieces():
+    bad = 2**16 + 5
+    cfg = MCConfig(2**17, 3)
+    target = complex_gaussian_sample_stream(1.0, cfg).take(bad, 1)[0]
+
+    def f(z):
+        return np.where(z == target, np.nan, 0.0)
+
+    with pytest.raises(ValueError, match=f"sample {bad}:"):
+        mc_expect_complex_gaussian(f, 1.0, cfg)
+
+
+def test_mc_worker_exception_reaches_the_caller():
+    class Boom(Exception):
+        pass
+
+    cfg = MCConfig(2**17, 3)
+    second_piece = complex_gaussian_sample_stream(1.0, cfg).take(2**16, 1)[0]
+
+    def f(z):
+        if np.any(z == second_piece):
+            raise Boom("raised in a worker")
+        return np.abs(z)
+
+    with pytest.raises(Boom, match="raised in a worker"):
+        mc_expect_complex_gaussian(f, 1.0, cfg)
 
 
 def test_mc_needs_two_samples():

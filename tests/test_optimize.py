@@ -57,6 +57,10 @@ def test_search_options_validation():
         SearchOptions(scan_step_db=-0.5)
     with pytest.raises(ValueError, match="tolerance"):
         SearchOptions(tol_db=0.0)
+    for field in ("scan_lo_db", "scan_hi_db", "scan_step_db", "tol_db"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SearchOptions(**{field: bad})
 
 
 def test_scan_grid_default_window():
