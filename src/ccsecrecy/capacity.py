@@ -36,37 +36,77 @@ _BLOCK_BYTES = 1 << 16
 _MC_BLOCK_BYTES = 1 << 19
 
 
+def _first(values: np.ndarray, mask: np.ndarray) -> float | None:
+    """The first of the values where the mask is set, as a float, or None.
+
+    np.count_nonzero is the cheapest test of a mask: these checks run on
+    every scalar call as well as on grids.
+    """
+    return float(values[mask].flat[0]) if np.count_nonzero(mask) else None
+
+
+def _shaped(values):
+    """A 0-d result as a float; any other array as it is."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
+
+
 @dataclass(frozen=True)
 class WiretapChannel:
-    """Normalized channel pair: main-channel SNR and eavesdropper noise ratio."""
+    """Normalized channel pair: main-channel SNR and eavesdropper noise ratio.
 
-    snr: float
-    sigma_sq: float
+    Either field may be an array; rates of the channel then take the shape
+    the two broadcast to (an SNR grid and a column of noise ratios give one
+    row per ratio).
+    """
+
+    snr: float | np.ndarray
+    sigma_sq: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.snr) and self.snr >= 0.0):
-            raise ValueError(f"snr must be finite and nonnegative, got {self.snr}")
-        if not math.isfinite(self.sigma_sq):
-            raise ValueError(f"eavesdropper noise ratio must be finite, got {self.sigma_sq}")
-        if self.sigma_sq < 1.0:
+        snr = np.asarray(self.snr, dtype=float)
+        sigma_sq = np.asarray(self.sigma_sq, dtype=float)
+        bad = _first(snr, ~((snr >= 0.0) & (snr < math.inf)))
+        if bad is not None:
+            raise ValueError(f"snr must be finite and nonnegative, got {bad}")
+        bad = _first(sigma_sq, ~np.isfinite(sigma_sq))
+        if bad is not None:
+            raise ValueError(f"eavesdropper noise ratio must be finite, got {bad}")
+        bad = _first(sigma_sq, sigma_sq < 1.0)
+        if bad is not None:
             raise ValueError(
                 "eavesdropper noise ratio must be at least 1 "
-                f"(main channel no noisier than the tap), got {self.sigma_sq}"
+                f"(main channel no noisier than the tap), got {bad}"
             )
 
 
 @dataclass(frozen=True)
 class MIEstimate:
-    """Mutual information in bits per channel use, with method metadata."""
+    """Mutual information in bits per channel use, with method metadata.
 
-    bits: float
+    bits and error_bound are floats, or arrays in the shape of the SNR (and
+    noise variance) they were computed at.
+    """
+
+    bits: float | np.ndarray
     method: str
-    error_bound: float
+    error_bound: float | np.ndarray
 
 
-def db_to_linear(db: float) -> float:
-    """Convert a decibel power ratio to linear scale."""
-    return 10.0 ** (db / 10.0)
+def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
+    """Convert a decibel power ratio, or an array of them, to linear scale.
+
+    Each value goes through Python's float power, so an array converts to
+    the same values as its elements one at a time. A ratio too large for a
+    float raises ValueError.
+    """
+    if np.ndim(db):
+        flat = [db_to_linear(value) for value in np.ravel(db).tolist()]
+        return np.array(flat).reshape(np.shape(db))
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db} dB is too large: its linear ratio overflows a float") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -120,11 +160,11 @@ def logsumexp(values) -> float:
 def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One axis of the separable mixture, scaled to stay finite.
 
-    For offsets u (orbits x points) and nodes t, the exponent -(t_a + u_j)^2
+    For offsets u (rows x points) and nodes t, the exponent -(t_a + u_j)^2
     is taken relative to the u = 0 term, giving e = -u_j (2 t_a + u_j) <= t_a^2,
-    and each row (orbit, node) is then shifted by half its maximum, which is
-    at least the u = 0 term's 0. Returns exp of the shifted exponents,
-    shape (orbits, nodes, points), and the shifts, shape (orbits, nodes).
+    and each (row, node) is then shifted by half its maximum, which is at
+    least the u = 0 term's 0. Returns exp of the shifted exponents, shape
+    (rows, nodes, points), and the shifts, shape (rows, nodes).
     """
     e = -u[:, None, :] * (2.0 * t[None, :, None] + u[:, None, :])
     shift = 0.5 * e.max(axis=-1)
@@ -133,9 +173,23 @@ def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return e, shift
 
 
+def _row_sums(t: np.ndarray, w: np.ndarray, wsum: float, offsets: np.ndarray) -> np.ndarray:
+    """sum_ab w_a w_b (log mixture_ab + re_shift_a + im_shift_b) per row of offsets.
+
+    Each sum is taken within its row, never across rows, so a row's value
+    does not depend on the rows that share its block. The block's
+    temporaries are freed on return, before the next block allocates its own.
+    """
+    re_factor, re_shift = _shifted_factor(t, offsets.real)
+    im_factor, im_shift = _shifted_factor(t, offsets.imag)
+    mixture = np.matmul(re_factor, im_factor.transpose(0, 2, 1))
+    np.log(mixture, out=mixture)
+    return ((mixture @ w + wsum * (re_shift + im_shift)) * w).sum(axis=-1)
+
+
 def cc_output_entropy(
-    c: Constellation, snr: float, variance: float, rule: HermiteRule
-) -> float:
+    c: Constellation, snr: float | np.ndarray, variance: float | np.ndarray, rule: HermiteRule
+) -> float | np.ndarray:
     """Differential entropy (bits) of the channel output under uniform input.
 
     For y = sqrt(snr) * x + n with x uniform on the constellation and
@@ -152,66 +206,100 @@ def cc_output_entropy(
     The grid and its weights are invariant under the square's symmetries, so
     only one point per orbit of the constellation (Constellation.orbits) is
     evaluated, weighted by the orbit's size.
+
+    snr and variance may be floats or arrays that broadcast together; the
+    result has their broadcast shape, and is a float when both are floats.
+    The kernel runs over rows of (channel, orbit) pairs, a block of rows at a
+    time, and a channel's value does not depend on the other channels, so an
+    array gives the values of one call per element.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
-    if variance <= 0.0:
-        raise ValueError(f"noise variance must be positive, got {variance}")
+    snr = np.asarray(snr, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    bad = _first(snr, snr < 0.0)
+    if bad is not None:
+        raise ValueError(f"snr must be nonnegative, got {bad}")
+    bad = _first(variance, variance <= 0.0)
+    if bad is not None:
+        raise ValueError(f"noise variance must be positive, got {bad}")
     t, w = rule.nodes, rule.weights
     points = c.points
     orbits = c.orbits
     sizes = np.array([len(orbit) for orbit in orbits], dtype=float)
     reps = [orbit[0] for orbit in orbits]
-    # Offsets in units of the per-axis noise scale sqrt(variance).
-    offsets = math.sqrt(snr / variance) * (points[reps, None] - points[None, :])
-    wsum = float(w.sum())
-    # Orbits per block: the largest temporary per orbit is the n x n mixture
-    # or an n x M factor, in float64.
+    diffs = points[reps, None] - points[None, :]
+    # Offsets in units of the per-axis noise scale sqrt(variance) are a
+    # channel's sqrt(snr / variance) times diffs.
+    ratio = np.sqrt(snr / variance)
+    shape = ratio.shape
+    ratio = ratio.ravel()
+    # Rows per block: the largest temporary per row is the n x n mixture or
+    # an n x M factor, in float64. A block holds whole channels when a
+    # channel's orbits fit, else a run of one channel's orbits, so each
+    # channel's orbits are grouped the same way whatever its neighbours.
     step = max(1, _BLOCK_BYTES // (8 * t.size * max(t.size, c.size)))
-    # total = sum over orbits of size * sum_ab w_a w_b log S(a, b) in nats, with
-    # log S = -(t_a^2 + t_b^2) + re_shift_a + im_shift_b + log mixture_ab; each
-    # part but the last is a one-axis sum against the weights.
-    total = 0.0
-    for lo in range(0, len(reps), step):
-        block = offsets[lo:lo + step]
-        re_factor, re_shift = _shifted_factor(t, block.real)
-        im_factor, im_shift = _shifted_factor(t, block.imag)
-        mixture = np.matmul(re_factor, im_factor.transpose(0, 2, 1))
-        np.log(mixture, out=mixture)
-        per_orbit = mixture @ w @ w + wsum * (re_shift @ w + im_shift @ w)
-        total += float(sizes[lo:lo + step] @ per_orbit)
-    total -= 2.0 * c.size * wsum * float(w @ (t * t))
-    if not math.isfinite(total):
+    per_block = max(1, step // len(reps))
+    span = min(step, len(reps))
+    # totals = sum over orbits of size * sum_ab w_a w_b log S(a, b) in nats,
+    # per channel, with log S = -(t_a^2 + t_b^2) + re_shift_a + im_shift_b
+    # + log mixture_ab; each part but the first is in _row_sums.
+    wsum = float(w.sum())
+    totals = np.zeros(ratio.size)
+    for lo in range(0, ratio.size, per_block):
+        channels = ratio[lo:lo + per_block, None, None]
+        for first in range(0, len(reps), span):
+            offsets = (channels * diffs[first:first + span]).reshape(-1, c.size)
+            per_row = _row_sums(t, w, wsum, offsets).reshape(len(channels), -1)
+            totals[lo:lo + per_block] += (per_row * sizes[first:first + span]).sum(axis=-1)
+    totals -= 2.0 * c.size * wsum * float(w @ (t * t))
+    bad = ~np.isfinite(totals)
+    if np.count_nonzero(bad):
+        k = int(np.flatnonzero(bad)[0])
+        at_snr = float(np.broadcast_to(snr, shape).flat[k])
+        at_variance = float(np.broadcast_to(variance, shape).flat[k])
         raise ValueError(
-            f"integrand is not finite at snr={snr!r}, variance={variance!r}: got {total}"
+            f"integrand is not finite at snr={at_snr!r}, variance={at_variance!r}: "
+            f"got {totals[k]}"
         )
-    return (
-        math.log2(c.size) + math.log2(math.pi * variance)
-        - total / (math.pi * LN2 * c.size)
+    return _shaped(
+        math.log2(c.size) + np.log2(math.pi * variance)
+        - totals.reshape(shape) / (math.pi * LN2 * c.size)
     )
 
 
-def _clamp_bits(raw: float, upper: float, *, strict: bool) -> tuple[float, float]:
-    """Clamp a rate into [0, upper]; reject clamps beyond roundoff if strict.
+def _clamp_bits(raw, upper: float, *, strict: bool):
+    """Clamp rates into [0, upper]; reject clamps beyond roundoff if strict.
 
-    A non-finite rate is rejected in either mode: NaN fails both range
-    comparisons and would pass through the clamp unchanged.
+    Returns (bits, clamp), each a float for a float rate and an array for an
+    array of rates. A non-finite rate is rejected in either mode: NaN fails
+    both range comparisons and would pass through the clamp unchanged.
     """
-    if not math.isfinite(raw):
-        raise ValueError(f"mutual information is not finite: got {raw!r}")
-    if strict and (raw < -CLAMP_LIMIT or raw > upper + CLAMP_LIMIT):
+    raw = np.asarray(raw, dtype=float)
+    bad = _first(raw, ~np.isfinite(raw))
+    if bad is not None:
+        raise ValueError(f"mutual information is not finite: got {bad!r}")
+    bad = _first(raw, (raw < -CLAMP_LIMIT) | (raw > upper + CLAMP_LIMIT))
+    if strict and bad is not None:
         raise ValueError(
-            f"mutual information {raw!r} outside [0, {upper}] beyond roundoff; "
+            f"mutual information {bad!r} outside [0, {upper}] beyond roundoff; "
             "increase the quadrature order"
         )
-    bits = min(max(raw, 0.0), upper)
-    return bits, abs(bits - raw)
+    bits = np.minimum(np.maximum(raw, 0.0), upper)
+    return _shaped(bits), _shaped(np.abs(bits - raw))
+
+
+def _raw_mi(c: Constellation, snr, variance, rule: HermiteRule) -> np.ndarray:
+    """Output entropy minus the conditional entropy log2(pi * e * variance)."""
+    h = np.asarray(cc_output_entropy(c, snr, variance, rule))
+    # At infinite variance both entropies are +inf; the NaN left here is
+    # rejected by _clamp_bits.
+    with np.errstate(invalid="ignore"):
+        return h - np.log2(math.pi * math.e * np.asarray(variance, dtype=float))
 
 
 def cc_mutual_information(
     c: Constellation,
-    snr: float,
-    variance: float,
+    snr: float | np.ndarray,
+    variance: float | np.ndarray,
     rule: HermiteRule,
     audit: bool = False,
 ) -> MIEstimate:
@@ -221,19 +309,17 @@ def cc_mutual_information(
     log2(pi * e * variance) and clamped to [0, log2 M]. With audit=True the
     value is recomputed at half the quadrature order and the difference is
     reported as the error bound; otherwise the bound only records any clamp.
+    snr and variance may be arrays that broadcast together; the estimate's
+    fields then take their broadcast shape.
     """
-    raw = cc_output_entropy(c, snr, variance, rule) - math.log2(
-        math.pi * math.e * variance
-    )
+    raw = _raw_mi(c, snr, variance, rule)
     bits, clamp = _clamp_bits(raw, math.log2(c.size), strict=True)
     gap = 0.0
     if audit:
         half = gauss_hermite(max(1, rule.order // 2))
-        raw_half = cc_output_entropy(c, snr, variance, half) - math.log2(
-            math.pi * math.e * variance
-        )
-        gap = abs(raw - raw_half)
-    return MIEstimate(bits, f"gauss_hermite(order={rule.order})", max(gap, clamp))
+        gap = np.abs(raw - _raw_mi(c, snr, variance, half))
+    bound = _shaped(np.maximum(gap, clamp))
+    return MIEstimate(bits, f"gauss_hermite(order={rule.order})", bound)
 
 
 def cc_mutual_information_mc(
@@ -300,22 +386,25 @@ def cc_secrecy_capacity(
     """Secrecy capacity (bits) of the constellation over the wiretap pair.
 
     The difference between the main-channel and eavesdropper mutual
-    informations at the channel's SNR, clamped at zero from below.
+    informations at the channel's SNR, clamped at zero from below. The main
+    channel is evaluated at the shape of ch.snr only, so a column of noise
+    ratios shares one main-channel curve.
     """
     main = cc_mutual_information(c, ch.snr, 1.0, rule)
     eve = cc_mutual_information(c, ch.snr, ch.sigma_sq, rule)
-    raw = main.bits - eve.bits
-    bits = max(raw, 0.0)
+    raw = np.subtract(main.bits, eve.bits)
+    bits = np.maximum(raw, 0.0)
     clamp = bits - raw
     gap = 0.0
     if audit:
         half = gauss_hermite(max(1, rule.order // 2))
-        raw_half = (
-            cc_mutual_information(c, ch.snr, 1.0, half).bits
-            - cc_mutual_information(c, ch.snr, ch.sigma_sq, half).bits
+        raw_half = np.subtract(
+            cc_mutual_information(c, ch.snr, 1.0, half).bits,
+            cc_mutual_information(c, ch.snr, ch.sigma_sq, half).bits,
         )
-        gap = abs(raw - raw_half)
-    return MIEstimate(bits, f"gauss_hermite(order={rule.order})", max(gap, clamp))
+        gap = np.abs(raw - raw_half)
+    bound = _shaped(np.maximum(gap, clamp))
+    return MIEstimate(_shaped(bits), f"gauss_hermite(order={rule.order})", bound)
 
 
 def gaussian_channel_capacity(snr: float) -> float:
@@ -325,10 +414,17 @@ def gaussian_channel_capacity(snr: float) -> float:
     return math.log2(1.0 + snr)
 
 
-def gaussian_secrecy_capacity(ch: WiretapChannel) -> float:
+def gaussian_secrecy_capacity(ch: WiretapChannel) -> float | np.ndarray:
     """Secrecy capacity with a Gaussian codebook at the channel's SNR.
 
     log2(1 + snr) - log2(1 + snr / sigma_sq); grows to log2(sigma_sq) as the
     SNR increases, and is an upper envelope for any unit-energy constellation.
+    A channel with array fields gives an array in their broadcast shape,
+    each element computed as for a float channel.
     """
-    return math.log2((1.0 + ch.snr) / (1.0 + ch.snr / ch.sigma_sq))
+    snr, sigma_sq = np.broadcast_arrays(ch.snr, ch.sigma_sq)
+    values = [
+        math.log2((1.0 + s) / (1.0 + s / v))
+        for s, v in zip(snr.ravel().tolist(), sigma_sq.ravel().tolist())
+    ]
+    return _shaped(np.reshape(values, snr.shape))

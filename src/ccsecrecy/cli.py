@@ -15,6 +15,8 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .capacity import (
     WiretapChannel,
@@ -26,13 +28,18 @@ from .capacity import (
 )
 from .constellation import Constellation, from_points, make_bpsk, make_psk, make_qam
 from .integrate import MAX_ORDER, MCConfig, gauss_hermite
-from .optimize import SearchOptions, SweepRow, find_secrecy_maximum, sweep_max_vs_sigma
+from .optimize import (
+    MAX_GRID_POINTS,
+    SearchOptions,
+    SweepRow,
+    find_secrecy_maximum,
+    grid_points,
+    sweep_max_vs_sigma,
+)
 
 CSV_HEADER = "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap"
 MAX_CSV_HEADER = "constellation,sigma_sq,snr_max_db,snr_max_linear,c_max,unimodal_ok"
 POINTS_CSV_HEADER = "index,re,im"
-
-GRID_EDGE_TOL = 1e-9
 
 
 class UsageError(ValueError):
@@ -107,14 +114,8 @@ def _finite(values: tuple[float, ...], flag: str, text: str) -> tuple[float, ...
     return values
 
 
-def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
-    """Parse '<value>' or '<start>:<stop>:<step>' (stop inclusive on the grid)."""
-    if ":" not in text:
-        try:
-            value = float(text)
-        except ValueError:
-            raise UsageError(f"{flag}: expected a number, got {text!r}") from None
-        return _finite((value,), flag, text)
+def _parse_range(text: str, flag: str) -> tuple[float, float, float]:
+    """Parse '<start>:<stop>:<step>' with finite values, start < stop, step > 0."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag}: expected start:stop:step, got {text!r}")
@@ -125,8 +126,34 @@ def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     _finite((lo, hi, step), flag, text)
     if step <= 0.0 or hi <= lo:
         raise UsageError(f"{flag}: need start < stop and step > 0, got {text!r}")
-    count = int(math.floor((hi - lo) / step + GRID_EDGE_TOL)) + 1
-    return tuple(lo + k * step for k in range(count))
+    return lo, hi, step
+
+
+def _grid(lo: float, hi: float, step: float, flag: str) -> np.ndarray:
+    """grid_points, with a grid above MAX_GRID_POINTS as a usage error."""
+    try:
+        return grid_points(lo, hi, step)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
+    """Parse '<value>' or '<start>:<stop>:<step>' (stop inclusive on the grid)."""
+    if ":" in text:
+        return tuple(_grid(*_parse_range(text, flag), flag).tolist())
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"{flag}: expected a number, got {text!r}") from None
+    return _finite((value,), flag, text)
+
+
+def _check_db(db: float, flag: str) -> None:
+    """Reject a dB value whose linear ratio overflows a float."""
+    try:
+        db_to_linear(db)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_sigma_list(text: str) -> tuple[float, ...]:
@@ -209,32 +236,36 @@ def _meta(command: str, spec: SweepSpec, **extra) -> dict:
 
 
 def _build_records(c: Constellation, spec: SweepSpec) -> list[CurveRecord]:
-    mc = spec.mc_samples
-    rule = gauss_hermite(spec.gh_order) if mc is None else None
-    cfg = None if mc is None else MCConfig(mc, spec.seed)
+    snr = db_to_linear(spec.snr_db).tolist()
+    if spec.mc_samples is None:
+        rule = gauss_hermite(spec.gh_order)
 
-    def mi(snr: float, variance: float) -> float:
-        if cfg is not None:
-            return cc_mutual_information_mc(c, snr, variance, cfg).bits
-        return cc_mutual_information(c, snr, variance, rule).bits
+        def curve(variance: float) -> list[float]:
+            return cc_mutual_information(c, snr, variance, rule).bits.tolist()
+    else:
+        cfg = MCConfig(spec.mc_samples, spec.seed)
 
+        def curve(variance: float) -> list[float]:
+            return [cc_mutual_information_mc(c, s, variance, cfg).bits for s in snr]
+
+    main = curve(1.0)
+    columns = []
+    for sigma_sq in spec.sigma_sq:
+        gc = gaussian_secrecy_capacity(WiretapChannel(np.array(snr), sigma_sq)).tolist()
+        columns.append((sigma_sq, main if sigma_sq == 1.0 else curve(sigma_sq), gc))
     records = []
-    for snr_db in spec.snr_db:
-        snr = db_to_linear(snr_db)
-        mi_main = mi(snr, 1.0)
-        for sigma_sq in spec.sigma_sq:
-            ch = WiretapChannel(snr, sigma_sq)
-            mi_eve = mi_main if sigma_sq == 1.0 else mi(snr, sigma_sq)
+    for k, snr_db in enumerate(spec.snr_db):
+        for sigma_sq, eve, gc in columns:
             records.append(
                 CurveRecord(
                     constellation=c.name,
                     snr_db=snr_db,
                     sigma_sq=sigma_sq,
-                    mi_main=mi_main,
-                    mi_eve=mi_eve,
-                    cc_sc=max(0.0, mi_main - mi_eve),
-                    gc_sc=gaussian_secrecy_capacity(ch),
-                    gaussian_cap=gaussian_channel_capacity(snr),
+                    mi_main=main[k],
+                    mi_eve=eve[k],
+                    cc_sc=max(0.0, main[k] - eve[k]),
+                    gc_sc=gc[k],
+                    gaussian_cap=gaussian_channel_capacity(snr[k]),
                 )
             )
     return records
@@ -252,9 +283,11 @@ def _note(message: str) -> None:
 
 def _spec_from(ns, *, default_sigma: str | None = None) -> SweepSpec:
     sigma_text = getattr(ns, "sigma2", None) or default_sigma
+    snr_db = _parse_grid(ns.snr_db, "--snr-db")
+    _check_db(max(snr_db), "--snr-db")
     return SweepSpec(
         selector=ns.constellation,
-        snr_db=_parse_grid(ns.snr_db, "--snr-db") if hasattr(ns, "snr_db") else (),
+        snr_db=snr_db,
         sigma_sq=_parse_sigma_list(sigma_text) if sigma_text else (),
         gh_order=ns.gh_order,
         mc_samples=ns.mc_samples,
@@ -278,15 +311,8 @@ def _run_sweep(ns, command: str, default_sigma: str | None = None) -> int:
 
 
 def _search_options(ns) -> SearchOptions:
-    lo, hi, step = None, None, None
-    parts = ns.scan_db.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--scan-db: expected lo:hi:step, got {ns.scan_db!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--scan-db: expected numeric lo:hi:step, got {ns.scan_db!r}") from None
-    _finite((lo, hi, step), "--scan-db", ns.scan_db)
+    lo, hi, step = _parse_range(ns.scan_db, "--scan-db")
+    _check_db(float(_grid(lo, hi, step, "--scan-db")[-1]), "--scan-db")
     _finite((ns.tol_db,), "--tol-db", str(ns.tol_db))
     return SearchOptions(
         scan_lo_db=lo,
@@ -408,7 +434,8 @@ def _add_common(parser: argparse.ArgumentParser, *, sigma_required: bool) -> Non
     parser.add_argument("--constellation", required=True,
                         help="bpsk, psk<M>, qam<M>, or file:<path>")
     parser.add_argument("--sigma2", required=sigma_required,
-                        help="eavesdropper noise ratio(s): comma list or lo:hi:step")
+                        help="eavesdropper noise ratio(s): comma list or lo:hi:step "
+                             f"of at most {MAX_GRID_POINTS} points")
     parser.add_argument("--gh-order", type=_gh_order, default=32,
                         help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -432,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--snr-db", required=True,
-                       help="SNR in dB: a value or start:stop:step "
+                       help="SNR in dB: a value or start:stop:step of at most "
+                            f"{MAX_GRID_POINTS} points "
                             "(write --snr-db=-10:40:0.5 when it starts negative)")
         _add_common(p, sigma_required=default_sigma is None)
         p.add_argument("--mc-samples", type=_mc_samples, default=None,
@@ -449,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         _add_common(p, sigma_required=True)
         p.add_argument("--scan-db", default="-30:50:0.5",
-                       help="coarse scan window lo:hi:step in dB "
+                       help="coarse scan window lo:hi:step in dB, at most "
+                            f"{MAX_GRID_POINTS} points "
                             "(write --scan-db=-30:50:0.5 when it starts negative)")
         p.add_argument("--tol-db", type=float, default=0.01,
                        help="refinement tolerance in dB (default 0.01)")

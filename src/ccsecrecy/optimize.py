@@ -27,6 +27,14 @@ NEGLIGIBLE = 1e-12
 # Refined maxima closer than this (in bits) are a tie; the lower SNR wins.
 TIE_TOL = 1e-9
 
+# Most points a start:stop:step grid may have. Finer grids are rejected where
+# they enter, not by running out of memory in the middle of a scan.
+MAX_GRID_POINTS = 1_000_000
+
+# A grid includes its stop value when stop lands this close (in steps) to a
+# step multiple.
+GRID_EDGE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SearchOptions:
@@ -48,6 +56,9 @@ class SearchOptions:
             raise ValueError(f"scan step must be positive, got {self.scan_step_db}")
         if self.tol_db <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol_db}")
+        count = _grid_count(self.scan_lo_db, self.scan_hi_db, self.scan_step_db)
+        # The top grid point, as grid_points computes it, must have a linear value.
+        db_to_linear(self.scan_lo_db + self.scan_step_db * (count - 1))
 
 
 @dataclass(frozen=True)
@@ -111,30 +122,40 @@ def golden_section_max(
     return x, fx
 
 
-def _db_grid(opts: SearchOptions) -> np.ndarray:
-    span = opts.scan_hi_db - opts.scan_lo_db
-    count = int(math.floor(span / opts.scan_step_db + 1e-9)) + 1
-    return opts.scan_lo_db + opts.scan_step_db * np.arange(count)
+def _grid_count(start: float, stop: float, step: float) -> int:
+    count = (stop - start) / step + GRID_EDGE_TOL
+    # Written so that an infinite or NaN count is rejected too.
+    if not count < MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points"
+        )
+    return math.floor(count) + 1
+
+
+def grid_points(start: float, stop: float, step: float) -> np.ndarray:
+    """The grid start, start + step, ... up to stop.
+
+    stop is included when it lands on a step multiple (within GRID_EDGE_TOL
+    steps). Raises ValueError for a grid of more than MAX_GRID_POINTS points.
+    """
+    return start + step * np.arange(_grid_count(start, stop, step))
 
 
 def scan_secrecy_grid(
-    c: Constellation, sigma_sq: float, opts: SearchOptions | None = None
+    c: Constellation, sigma_sq: float | np.ndarray, opts: SearchOptions | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Secrecy capacity evaluated on the options' dB grid.
 
     Returns (grid_db, values) with the grid inclusive of the upper edge when
-    it lands on a step multiple.
+    it lands on a step multiple. sigma_sq may be a column of noise ratios
+    (shape (k, 1)); values then has one row per ratio, and the main channel
+    is evaluated once for all of them.
     """
     opts = opts or SearchOptions()
-    grid = _db_grid(opts)
+    grid = grid_points(opts.scan_lo_db, opts.scan_hi_db, opts.scan_step_db)
     rule = gauss_hermite(opts.gh_order)
-    values = np.array(
-        [
-            cc_secrecy_capacity(c, WiretapChannel(db_to_linear(g), sigma_sq), rule).bits
-            for g in grid
-        ]
-    )
-    return grid, values
+    ch = WiretapChannel(db_to_linear(grid), sigma_sq)
+    return grid, cc_secrecy_capacity(c, ch, rule).bits
 
 
 def find_secrecy_maximum(
@@ -153,6 +174,14 @@ def find_secrecy_maximum(
             f"eavesdropper noise ratio must exceed 1 for a positive peak, got {sigma_sq}"
         )
     grid, values = scan_secrecy_grid(c, sigma_sq, opts)
+    return _refine(c, sigma_sq, grid, values, opts)
+
+
+def _refine(
+    c: Constellation, sigma_sq: float, grid: np.ndarray, values: np.ndarray,
+    opts: SearchOptions,
+) -> MaximumResult:
+    """find_secrecy_maximum from a scan already made."""
     if float(values.max()) <= NEGLIGIBLE:
         raise ValueError(
             "no interior maximum: secrecy capacity is negligible over the scan range"
@@ -200,7 +229,11 @@ def find_secrecy_maximum(
 def sweep_max_vs_sigma(
     c: Constellation, sigma_list: Sequence[float], opts: SearchOptions | None = None
 ) -> list[SweepRow]:
-    """Refined secrecy maximum for each noise ratio in an ascending list."""
+    """Refined secrecy maximum for each noise ratio in an ascending list.
+
+    One scan covers every ratio, so the main-channel curve is computed once;
+    each ratio's row is then find_secrecy_maximum's result for it.
+    """
     sigmas = list(sigma_list)
     if not sigmas:
         raise ValueError("need at least one eavesdropper noise ratio")
@@ -208,9 +241,11 @@ def sweep_max_vs_sigma(
         raise ValueError("every noise ratio must exceed 1")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("noise ratios must be strictly ascending")
+    opts = opts or SearchOptions()
+    grid, curves = scan_secrecy_grid(c, np.array(sigmas, dtype=float)[:, None], opts)
     rows = []
-    for sigma_sq in sigmas:
-        result = find_secrecy_maximum(c, sigma_sq, opts)
+    for sigma_sq, values in zip(sigmas, curves):
+        result = _refine(c, sigma_sq, grid, values, opts)
         rows.append(
             SweepRow(
                 sigma_sq=sigma_sq,

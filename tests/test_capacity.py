@@ -27,6 +27,7 @@ from ccsecrecy import (
     make_qam,
     normalize_channel,
 )
+from perfbench.workloads import asym_points
 
 # Frozen 10M-sample Monte-Carlo oracle for BPSK at snr=1, variance=1
 # (regenerate with tools/gen_fixtures.py; seed 20250819).
@@ -507,3 +508,106 @@ def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def _scan_snr():
+    """Linear SNRs of the default 0.5 dB scan grid over [-30, 50] dB."""
+    return db_to_linear(-30.0 + 0.5 * np.arange(161))
+
+
+ARRAY_CONSTELLATIONS = {
+    "bpsk": make_bpsk,
+    "qam4": lambda: make_qam(4),
+    "psk8": lambda: make_psk(8),
+    "qam16": lambda: make_qam(16),
+    "qam64": lambda: make_qam(64),
+    "asym_points(1)": lambda: from_points(asym_points(1), "asym16"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_CONSTELLATIONS))
+def test_snr_array_matches_scalar_calls(name):
+    # The array path evaluates rows of (SNR, orbit) pairs in blocks; each
+    # SNR's value must be the one a call for that SNR alone gives.
+    c = ARRAY_CONSTELLATIONS[name]()
+    snr = _scan_snr()
+    for order in (8, 32, 64):
+        rule = gauss_hermite(order)
+        for variance in (1.0, 5.0, 20.0):
+            h = cc_output_entropy(c, snr, variance, rule)
+            mi = cc_mutual_information(c, snr, variance, rule)
+            assert h.shape == mi.bits.shape == mi.error_bound.shape == snr.shape
+            for k, one_snr in enumerate(snr.tolist()):
+                assert abs(h[k] - cc_output_entropy(c, one_snr, variance, rule)) <= 4e-15
+                one = cc_mutual_information(c, one_snr, variance, rule)
+                assert abs(mi.bits[k] - one.bits) <= 4e-15, (order, variance, k)
+                assert abs(mi.error_bound[k] - one.error_bound) <= 4e-15
+
+
+def test_scalar_inputs_give_floats(rule32):
+    c = make_qam(16)
+    assert type(cc_output_entropy(c, 10.0, 1.0, rule32)) is float
+    est = cc_mutual_information(c, 10.0, 5.0, rule32, audit=True)
+    assert type(est.bits) is float and type(est.error_bound) is float
+    est = cc_secrecy_capacity(c, WiretapChannel(10.0, 5.0), rule32, audit=True)
+    assert type(est.bits) is float and type(est.error_bound) is float
+
+
+def test_noise_ratio_column_shares_the_main_curve(monkeypatch, rule32):
+    # A column of noise ratios against an SNR row gives one secrecy curve per
+    # ratio, each equal to its own call, with the main channel evaluated once.
+    c = make_psk(8)
+    snr = _scan_snr()[::10]
+    sigmas = np.array([[2.0], [5.0], [20.0]])
+    variances = []
+    real_mi = capacity.cc_mutual_information
+
+    def counted(c, snr, variance, rule, audit=False):
+        variances.append(np.shape(variance))
+        return real_mi(c, snr, variance, rule, audit)
+
+    monkeypatch.setattr(capacity, "cc_mutual_information", counted)
+    table = cc_secrecy_capacity(c, WiretapChannel(snr, sigmas), rule32)
+    assert variances == [(), (3, 1)]
+    assert table.bits.shape == (3, snr.size)
+    monkeypatch.undo()
+    for row, sigma_sq in zip(table.bits, sigmas[:, 0]):
+        for k, one_snr in enumerate(snr.tolist()):
+            one = cc_secrecy_capacity(c, WiretapChannel(one_snr, sigma_sq), rule32)
+            assert abs(row[k] - one.bits) <= 4e-15
+
+
+def test_array_validation_names_the_bad_value(rule32):
+    c = make_bpsk()
+    with pytest.raises(ValueError, match="snr must be nonnegative, got -2.0"):
+        cc_output_entropy(c, np.array([1.0, -2.0, -3.0]), 1.0, rule32)
+    with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
+        cc_output_entropy(c, 1.0, np.array([1.0, 0.0]), rule32)
+    with pytest.raises(ValueError, match="snr must be finite and nonnegative, got inf"):
+        WiretapChannel(np.array([1.0, math.inf]), 2.0)
+    with pytest.raises(ValueError, match="at least 1 .* got 0.5"):
+        WiretapChannel(1.0, np.array([[2.0], [0.5]]))
+
+
+def test_db_to_linear_arrays_and_overflow():
+    grid = -30.0 + 0.5 * np.arange(161)
+    linear = db_to_linear(grid)
+    assert linear.shape == grid.shape
+    # Element by element the same values as scalar calls (Python's power).
+    assert all(a == db_to_linear(float(g)) for a, g in zip(linear, grid))
+    assert db_to_linear(np.float64(10.0)) == 10.0
+    assert db_to_linear(-4000.0) == 0.0
+    for bad in (4000.0, np.float64(3500.0), np.array([0.0, 4000.0])):
+        with pytest.raises(ValueError, match="dB is too large"):
+            db_to_linear(bad)
+
+
+def test_gaussian_secrecy_capacity_of_an_array_channel():
+    snr = _scan_snr()
+    sigmas = np.array([[2.0], [20.0]])
+    table = gaussian_secrecy_capacity(WiretapChannel(snr, sigmas))
+    assert table.shape == (2, snr.size)
+    for row, sigma_sq in zip(table, sigmas[:, 0]):
+        assert row.tolist() == [
+            gaussian_secrecy_capacity(WiretapChannel(s, float(sigma_sq))) for s in snr.tolist()
+        ]

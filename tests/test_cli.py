@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import pytest
 
 from ccsecrecy import MCConfig, cc_mutual_information, cc_mutual_information_mc, gauss_hermite
+from ccsecrecy import capacity, cli, optimize
 from ccsecrecy.cli import (
     CSV_HEADER,
     MAX_CSV_HEADER,
@@ -436,3 +438,122 @@ def test_monte_carlo_csv_bytes_are_frozen(args, want, tmp_path):
     out = tmp_path / "mc.csv"
     assert run_cli(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == want.encode()
+
+
+# CLI bytes of the reference peak searches, recorded before the scan was
+# batched over the SNR grid and the noise ratios.
+FROZEN_MAX_SWEEP = {
+    "bpsk": (
+        "constellation,sigma_sq,snr_max_db,snr_max_linear,c_max,unimodal_ok\n"
+        "bpsk,5,1.85972009,1.53451808,0.509829224,true\n"
+        "bpsk,10,2.95994003,1.97694234,0.671152661,true\n"
+        "bpsk,15,3.53695435,2.25785181,0.74544954,true\n"
+        "bpsk,20,3.92047317,2.46630803,0.789639875,true\n"
+    ),
+    "qam4": (
+        "constellation,sigma_sq,snr_max_db,snr_max_linear,c_max,unimodal_ok\n"
+        "qam4,5,4.8728757,3.07105483,1.01965857,true\n"
+        "qam4,10,5.96807065,3.95191017,1.34230536,true\n"
+        "qam4,15,6.54508497,4.51344856,1.4908991,true\n"
+        "qam4,20,6.92860379,4.9301528,1.57927975,true\n"
+    ),
+    "psk8": (
+        "constellation,sigma_sq,snr_max_db,snr_max_linear,c_max,unimodal_ok\n"
+        "psk8,5,7.73858048,5.94097942,1.24170098,true\n"
+        "psk8,10,9.196008,8.30999573,1.70777776,true\n"
+        "psk8,15,9.94989003,9.88528063,1.94705915,true\n"
+        "psk8,20,10.4467844,11.0835387,2.0993493,true\n"
+    ),
+    "qam16": (
+        "constellation,sigma_sq,snr_max_db,snr_max_linear,c_max,unimodal_ok\n"
+        "qam16,5,10.814042,12.0615799,1.63185416,true\n"
+        "qam16,10,11.7122692,14.8329292,2.23870191,true\n"
+        "qam16,15,12.2335555,16.7245926,2.55226969,true\n"
+        "qam16,20,12.6058381,18.2214866,2.75355768,true\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_MAX_SWEEP))
+def test_max_sweep_csv_bytes_are_frozen(name, tmp_path):
+    out = tmp_path / "max.csv"
+    args = ["max-sweep", "--constellation", name, "--sigma2", "5,10,15,20"]
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == FROZEN_MAX_SWEEP[name].encode()
+
+
+class _Stop(Exception):
+    """Raised by a patched capacity entry point; run_cli does not catch it."""
+
+
+# perfbench/hook.py times set-up up to the first call of one of these, looked
+# up as module globals, and binds cc_mutual_information's arguments by name.
+BENCHMARK_ENTRY_POINTS = (
+    (cli, "cc_mutual_information"),
+    (cli, "cc_mutual_information_mc"),
+    (optimize, "cc_secrecy_capacity"),
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--constellation", "qam16", "--snr-db=-10:40:0.5", "--sigma2", "5,20"],
+        ["sweep", "--constellation", "qam16", "--snr-db", "0:20:10", "--sigma2", "5,20",
+         "--mc-samples", "100", "--seed", "3"],
+        ["maximize", "--constellation", "bpsk", "--sigma2", "5"],
+        ["max-sweep", "--constellation", "qam4", "--sigma2", "5,10,15,20"],
+    ],
+    ids=["sweep-gh", "sweep-mc", "maximize", "max-sweep"],
+)
+def test_first_capacity_work_goes_through_a_benchmark_entry_point(args, monkeypatch, tmp_path):
+    kernel = []
+
+    def stop(*args, **kwargs):
+        raise _Stop
+
+    for owner, name in BENCHMARK_ENTRY_POINTS:
+        monkeypatch.setattr(owner, name, stop)
+    monkeypatch.setattr(capacity, "cc_output_entropy", lambda *a, **k: kernel.append(a))
+    monkeypatch.setattr(capacity, "mc_expect_complex_gaussian", lambda *a, **k: kernel.append(a))
+    with pytest.raises(_Stop):
+        run_cli(args + ["--out", str(tmp_path / "out")])
+    assert kernel == []
+    names = inspect.signature(capacity.cc_mutual_information).parameters
+    assert {"c", "snr", "variance", "rule"} <= set(names)
+
+
+# Grids above the point cap and dB values whose linear ratio overflows a
+# float are usage errors that name the flag; they used to end in a numpy
+# MemoryError traceback or "(34, 'Numerical result out of range')".
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-30:50:1e-12"],
+         "--scan-db"),
+        (["max-sweep", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-1e308:1e308:1"],
+         "--scan-db"),
+        (["mi", "--constellation", "bpsk", "--snr-db=0:10:1e-6"], "--snr-db"),
+        (["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "2:3:1e-7"],
+         "--sigma2"),
+        (["mi", "--constellation", "bpsk", "--snr-db", "4000"], "--snr-db"),
+        (["mi", "--constellation", "bpsk", "--snr-db", "0:4000:1000",
+          "--mc-samples", "100"], "--snr-db"),
+        (["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-30:4000:1"],
+         "--scan-db"),
+        (["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=50:-30:0.5"],
+         "--scan-db"),
+    ],
+    ids=["scan-points", "scan-span", "snr-points", "sigma2-points", "snr-overflow",
+         "snr-range-overflow", "scan-overflow", "scan-reversed"],
+)
+def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"usage error: {flag}:" in capsys.readouterr().err
+
+
+def test_grid_at_the_point_cap_is_accepted():
+    grid = _parse_grid(f"0:1:{1.0 / (optimize.MAX_GRID_POINTS - 1)!r}", "--snr-db")
+    assert len(grid) == optimize.MAX_GRID_POINTS

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ccsecrecy import optimize
 from ccsecrecy import (
     MaximumResult,
     SearchOptions,
@@ -157,3 +158,46 @@ def test_sweep_validation():
         sweep_max_vs_sigma(make_bpsk(), [5.0, 2.0], FAST)
     with pytest.raises(ValueError, match="ascending"):
         sweep_max_vs_sigma(make_bpsk(), [2.0, 2.0], FAST)
+
+
+def test_search_options_bound_the_grid():
+    # 8e13 points used to end in a numpy MemoryError inside the scan.
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        SearchOptions(scan_step_db=1e-12)
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        SearchOptions(scan_lo_db=-1e308, scan_hi_db=1e308)
+    SearchOptions(scan_lo_db=0.0, scan_hi_db=1.0, scan_step_db=1.0 / (optimize.MAX_GRID_POINTS - 1))
+    with pytest.raises(ValueError, match="4000.0 dB is too large"):
+        SearchOptions(scan_hi_db=4000.0, scan_step_db=10.0)
+
+
+def test_grid_points():
+    assert optimize.grid_points(0.0, 1.2, 0.5).tolist() == [0.0, 0.5, 1.0]
+    assert optimize.grid_points(-30.0, 50.0, 0.5).size == 161
+    with pytest.raises(ValueError, match="more than"):
+        optimize.grid_points(0.0, 1.0, 1e-7)
+
+
+def test_scan_with_a_column_of_noise_ratios_matches_single_scans():
+    sigmas = np.array([[2.0], [5.0], [20.0]])
+    grid, table = scan_secrecy_grid(make_qam(4), sigmas, FAST)
+    assert table.shape == (3, grid.size)
+    for row, sigma_sq in zip(table, sigmas[:, 0]):
+        single_grid, values = scan_secrecy_grid(make_qam(4), float(sigma_sq), FAST)
+        assert np.array_equal(grid, single_grid)
+        assert np.max(np.abs(row - values)) <= 4e-15
+
+
+def test_sweep_rows_match_single_searches(reference_constellations):
+    # sweep_max_vs_sigma scans every ratio at once and shares the main curve;
+    # each row must still be find_secrecy_maximum's answer for its ratio.
+    sigmas = [5.0, 10.0, 15.0, 20.0]
+    for c in reference_constellations:
+        rows = sweep_max_vs_sigma(c, sigmas)
+        for row, sigma_sq in zip(rows, sigmas):
+            single = find_secrecy_maximum(c, sigma_sq)
+            assert row.sigma_sq == sigma_sq
+            assert abs(row.snr_max_db - single.snr_max_db) <= 1e-12, (c.name, sigma_sq)
+            assert row.snr_max_linear == db_to_linear(row.snr_max_db)
+            assert abs(row.c_max - single.c_max) <= 4e-15, (c.name, sigma_sq)
+            assert row.unimodal_ok == single.unimodal_ok

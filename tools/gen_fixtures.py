@@ -26,11 +26,9 @@ sys.path.insert(0, "src")
 
 from ccsecrecy import (  # noqa: E402
     SearchOptions,
-    WiretapChannel,
-    cc_secrecy_capacity,
-    gauss_hermite,
     make_bpsk,
     make_qam,
+    scan_secrecy_grid,
 )
 
 MC_SAMPLES = 10_000_000
@@ -64,14 +62,7 @@ def mc_bpsk_entropy_and_mi():
 
 def dense_grid_peak(c, sigma_sq):
     """Peak of the secrecy curve on a 0.05 dB grid over [-30, 50] dB."""
-    rule = gauss_hermite(32)
-    grid = -30.0 + DENSE_STEP_DB * np.arange(int(round(80.0 / DENSE_STEP_DB)) + 1)
-    values = np.array(
-        [
-            cc_secrecy_capacity(c, WiretapChannel(10.0 ** (db / 10.0), sigma_sq), rule).bits
-            for db in grid
-        ]
-    )
+    grid, values = scan_secrecy_grid(c, sigma_sq, SearchOptions(scan_step_db=DENSE_STEP_DB))
     k = int(np.argmax(values))
     return float(grid[k]), float(values[k])
 
