@@ -15,12 +15,9 @@ from .capacity import (
     cc_mutual_information_mc,
     cc_output_entropy,
     cc_secrecy_capacity,
-    conditional_density,
     db_to_linear,
     gaussian_channel_capacity,
     gaussian_secrecy_capacity,
-    linear_to_db,
-    logsumexp,
     normalize_channel,
 )
 from .constellation import (
@@ -35,7 +32,6 @@ from .constellation import (
 from .integrate import (
     HermiteRule,
     MCConfig,
-    complex_gaussian_sample_stream,
     expect_complex_gaussian,
     gauss_hermite,
     mc_expect_complex_gaussian,
@@ -43,9 +39,7 @@ from .integrate import (
 from .optimize import (
     MaximumResult,
     SearchOptions,
-    SweepRow,
     find_secrecy_maximum,
-    golden_section_max,
     scan_secrecy_grid,
     sweep_max_vs_sigma,
 )
@@ -58,15 +52,12 @@ __all__ = [
     "MIEstimate",
     "MaximumResult",
     "SearchOptions",
-    "SweepRow",
     "WiretapChannel",
     "average_energy",
     "cc_mutual_information",
     "cc_mutual_information_mc",
     "cc_output_entropy",
     "cc_secrecy_capacity",
-    "complex_gaussian_sample_stream",
-    "conditional_density",
     "db_to_linear",
     "expect_complex_gaussian",
     "find_secrecy_maximum",
@@ -74,9 +65,6 @@ __all__ = [
     "gauss_hermite",
     "gaussian_channel_capacity",
     "gaussian_secrecy_capacity",
-    "golden_section_max",
-    "linear_to_db",
-    "logsumexp",
     "make_bpsk",
     "make_psk",
     "make_qam",

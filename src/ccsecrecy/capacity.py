@@ -109,13 +109,6 @@ def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
         raise ValueError(f"{db} dB is too large: its linear ratio overflows a float") from None
 
 
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear power ratio to decibels."""
-    if x <= 0.0:
-        raise ValueError(f"ratio must be positive to express in dB, got {x}")
-    return 10.0 * math.log10(x)
-
-
 def normalize_channel(p0: float, sigma1_sq: float, sigma2_sq: float) -> WiretapChannel:
     """Reduce (transmit power, main noise, tap noise) to the normalized pair.
 
@@ -131,30 +124,6 @@ def normalize_channel(p0: float, sigma1_sq: float, sigma2_sq: float) -> WiretapC
             f"sigma2_sq={sigma2_sq} < sigma1_sq={sigma1_sq}"
         )
     return WiretapChannel(p0 / sigma1_sq, sigma2_sq / sigma1_sq)
-
-
-def conditional_density(y, x: complex, snr: float, variance: float):
-    """Channel transition density of y = sqrt(snr) * x + n, n ~ CN(0, variance)."""
-    if variance <= 0.0:
-        raise ValueError(f"noise variance must be positive, got {variance}")
-    if snr < 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
-    return np.exp(-np.abs(y - math.sqrt(snr) * x) ** 2 / variance) / (math.pi * variance)
-
-
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) computed without overflow.
-
-    Entries may be -inf (empty mixture components); the input must be
-    nonempty and free of +inf and NaN.
-    """
-    a = np.asarray(values, dtype=float)
-    if a.size == 0:
-        raise ValueError("logsumexp of an empty sequence")
-    peak = float(np.max(a))
-    if peak == -math.inf:
-        return peak
-    return peak + math.log(float(np.sum(np.exp(a - peak))))
 
 
 def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

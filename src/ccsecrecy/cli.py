@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,50 +26,32 @@ from .capacity import (
     gaussian_channel_capacity,
     gaussian_secrecy_capacity,
 )
-from .constellation import Constellation, from_points, make_bpsk, make_psk, make_qam
+from .constellation import (
+    Constellation,
+    average_energy,
+    from_points,
+    make_bpsk,
+    make_psk,
+    make_qam,
+    min_distance,
+)
 from .integrate import MAX_ORDER, MCConfig, gauss_hermite
 from .optimize import (
     MAX_GRID_POINTS,
     SearchOptions,
-    SweepRow,
-    find_secrecy_maximum,
     grid_points,
     sweep_max_vs_sigma,
 )
 
-CSV_HEADER = "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap"
-MAX_CSV_HEADER = "constellation,sigma_sq,snr_max_db,snr_max_linear,c_max,unimodal_ok"
-POINTS_CSV_HEADER = "index,re,im"
+RATE_COLUMNS = ("constellation", "snr_db", "sigma_sq", "mi_main", "mi_eve", "cc_sc",
+                "gc_sc", "gaussian_cap")
+PEAK_COLUMNS = ("constellation", "sigma_sq", "snr_max_db", "snr_max_linear", "c_max",
+                "unimodal_ok")
+POINT_COLUMNS = ("index", "re", "im")
 
 
 class UsageError(ValueError):
     """Malformed command-line input (reported with exit code 1)."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Resolved sweep request: constellation, grids, method settings."""
-
-    selector: str
-    snr_db: tuple[float, ...]
-    sigma_sq: tuple[float, ...]
-    gh_order: int
-    mc_samples: int | None
-    seed: int
-
-
-@dataclass(frozen=True)
-class CurveRecord:
-    """One output row of a rate sweep."""
-
-    constellation: str
-    snr_db: float
-    sigma_sq: float
-    mi_main: float
-    mi_eve: float
-    cc_sc: float
-    gc_sc: float
-    gaussian_cap: float
 
 
 def parse_constellation_selector(selector: str) -> Constellation:
@@ -79,7 +61,8 @@ def parse_constellation_selector(selector: str) -> Constellation:
     for prefix, factory in (("psk", make_psk), ("qam", make_qam)):
         if selector.startswith(prefix):
             digits = selector[len(prefix):]
-            if not digits.isdigit():
+            # str.isdigit also accepts digits int() cannot read, such as '²'.
+            if not (digits.isascii() and digits.isdigit()):
                 raise UsageError(
                     f"bad constellation selector {selector!r}: expected {prefix}<M>"
                 )
@@ -107,8 +90,12 @@ def parse_constellation_selector(selector: str) -> Constellation:
     )
 
 
-def _finite(values: tuple[float, ...], flag: str, text: str) -> tuple[float, ...]:
-    """Return the values parsed from a flag's text if all of them are finite."""
+def _numbers(parts, flag: str, text: str, expected: str) -> tuple[float, ...]:
+    """The parts of a flag's text as finite floats, or a usage error quoting it."""
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"{flag}: expected {expected}, got {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise UsageError(f"{flag}: values must be finite, got {text!r}")
     return values
@@ -119,20 +106,16 @@ def _parse_range(text: str, flag: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag}: expected start:stop:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"{flag}: expected numeric start:stop:step, got {text!r}") from None
-    _finite((lo, hi, step), flag, text)
+    lo, hi, step = _numbers(parts, flag, text, "numeric start:stop:step")
     if step <= 0.0 or hi <= lo:
         raise UsageError(f"{flag}: need start < stop and step > 0, got {text!r}")
     return lo, hi, step
 
 
-def _grid(lo: float, hi: float, step: float, flag: str) -> np.ndarray:
-    """grid_points, with a grid above MAX_GRID_POINTS as a usage error."""
+def _as_usage(flag: str, fn, *args):
+    """fn(*args), with a ValueError it raises reported as a usage error of the flag."""
     try:
-        return grid_points(lo, hi, step)
+        return fn(*args)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
 
@@ -140,59 +123,29 @@ def _grid(lo: float, hi: float, step: float, flag: str) -> np.ndarray:
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
     """Parse '<value>' or '<start>:<stop>:<step>' (stop inclusive on the grid)."""
     if ":" in text:
-        return tuple(_grid(*_parse_range(text, flag), flag).tolist())
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"{flag}: expected a number, got {text!r}") from None
-    return _finite((value,), flag, text)
-
-
-def _check_db(db: float, flag: str) -> None:
-    """Reject a dB value whose linear ratio overflows a float."""
-    try:
-        db_to_linear(db)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        return tuple(_as_usage(flag, grid_points, *_parse_range(text, flag)).tolist())
+    return _numbers([text], flag, text, "a number")
 
 
 def _parse_sigma_list(text: str) -> tuple[float, ...]:
     """Parse a comma list or start:stop:step range of noise ratios."""
     if ":" in text:
         return _parse_grid(text, "--sigma2")
-    try:
-        values = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"--sigma2: expected a comma list of numbers, got {text!r}") from None
-    return _finite(values, "--sigma2", text)
+    return _numbers(text.split(","), "--sigma2", text, "a comma list of numbers")
 
 
-def _fmt(value) -> str:
+def _fmt(value, digits: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return f"{value:.{digits}g}"
     return str(value)
 
 
-def emit_csv(records, target) -> None:
-    """Write CurveRecords as CSV: fixed header, 9 significant digits, LF lines."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.constellation,
-                    _fmt(r.snr_db),
-                    _fmt(r.sigma_sq),
-                    _fmt(r.mi_main),
-                    _fmt(r.mi_eve),
-                    _fmt(r.cc_sc),
-                    _fmt(r.gc_sc),
-                    _fmt(r.gaussian_cap),
-                )
-            )
-        )
+def emit_csv(columns, rows, target, digits: int = 9) -> None:
+    """Write rows, dicts keyed by the columns, as CSV; floats get `digits` significant digits."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row[k], digits) for k in columns) for row in rows]
     target.write("\n".join(lines) + "\n")
 
 
@@ -201,245 +154,100 @@ def emit_json(rows, target, meta: dict) -> None:
     target.write(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
 
 
-def _emit_max_csv(constellation: str, rows, target) -> None:
-    lines = [MAX_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    constellation,
-                    _fmt(r.sigma_sq),
-                    _fmt(r.snr_max_db),
-                    _fmt(r.snr_max_linear),
-                    _fmt(r.c_max),
-                    _fmt(r.unimodal_ok),
-                )
-            )
-        )
-    target.write("\n".join(lines) + "\n")
+def _emit(ns, columns, rows, digits: int = 9, **meta) -> int:
+    """Write the rows to --out or stdout in --format, and note it on stderr."""
+    meta = {"tool": "ccsecrecy", "version": __version__, "command": ns.command,
+            "constellation": ns.constellation, **meta}
+    with open(ns.out, "w", newline="") if ns.out else nullcontext(sys.stdout) as target:
+        if ns.format == "csv":
+            emit_csv(columns, rows, target, digits)
+        else:
+            emit_json(rows, target, meta)
+    print(f"{ns.command}: wrote {len(rows)} rows to {ns.out or 'stdout'}", file=sys.stderr)
+    return 0
 
 
-def _meta(command: str, spec: SweepSpec, **extra) -> dict:
-    mc = spec.mc_samples
-    meta = {
-        "tool": "ccsecrecy",
-        "version": __version__,
-        "command": command,
-        "constellation": spec.selector,
-        "method": "gauss_hermite" if mc is None else "monte_carlo",
-        "gh_order": spec.gh_order if mc is None else None,
-        "mc_samples": mc,
-        "seed": None if mc is None else spec.seed,
-    }
-    meta.update(extra)
-    return meta
-
-
-def _build_records(c: Constellation, spec: SweepSpec) -> list[CurveRecord]:
-    snr = db_to_linear(spec.snr_db).tolist()
-    if spec.mc_samples is None:
-        rule = gauss_hermite(spec.gh_order)
+def _cmd_rates(ns) -> int:
+    """mi and sweep: rate rows over the SNR grid for each noise ratio."""
+    snr_db = _parse_grid(ns.snr_db, "--snr-db")
+    # The largest dB value must have a linear ratio.
+    _as_usage("--snr-db", db_to_linear, max(snr_db))
+    sigmas = _parse_sigma_list(ns.sigma2)
+    c = parse_constellation_selector(ns.constellation)
+    snr = db_to_linear(snr_db).tolist()
+    mc = ns.mc_samples
+    if mc is None:
+        rule = gauss_hermite(ns.gh_order)
 
         def curve(variance: float) -> list[float]:
             return cc_mutual_information(c, snr, variance, rule).bits.tolist()
     else:
-        cfg = MCConfig(spec.mc_samples, spec.seed)
+        cfg = MCConfig(mc, ns.seed)
 
         def curve(variance: float) -> list[float]:
             return [cc_mutual_information_mc(c, s, variance, cfg).bits for s in snr]
 
     main = curve(1.0)
     columns = []
-    for sigma_sq in spec.sigma_sq:
+    for sigma_sq in sigmas:
         gc = gaussian_secrecy_capacity(WiretapChannel(np.array(snr), sigma_sq)).tolist()
         columns.append((sigma_sq, main if sigma_sq == 1.0 else curve(sigma_sq), gc))
-    records = []
-    for k, snr_db in enumerate(spec.snr_db):
-        for sigma_sq, eve, gc in columns:
-            records.append(
-                CurveRecord(
-                    constellation=c.name,
-                    snr_db=snr_db,
-                    sigma_sq=sigma_sq,
-                    mi_main=main[k],
-                    mi_eve=eve[k],
-                    cc_sc=max(0.0, main[k] - eve[k]),
-                    gc_sc=gc[k],
-                    gaussian_cap=gaussian_channel_capacity(snr[k]),
-                )
-            )
-    return records
+    rows = [
+        dict(zip(RATE_COLUMNS, (c.name, db, sigma_sq, main[k], eve[k],
+                                max(0.0, main[k] - eve[k]), gc[k],
+                                gaussian_channel_capacity(snr[k]))))
+        for k, db in enumerate(snr_db) for sigma_sq, eve, gc in columns
+    ]
+    return _emit(ns, RATE_COLUMNS, rows, method="gauss_hermite" if mc is None else "monte_carlo",
+                 gh_order=ns.gh_order if mc is None else None, mc_samples=mc,
+                 seed=None if mc is None else ns.seed)
 
 
-def _out_stream(ns):
-    if ns.out:
-        return open(ns.out, "w", newline="")
-    return nullcontext(sys.stdout)
-
-
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-def _spec_from(ns, *, default_sigma: str | None = None) -> SweepSpec:
-    sigma_text = getattr(ns, "sigma2", None) or default_sigma
-    snr_db = _parse_grid(ns.snr_db, "--snr-db")
-    _check_db(max(snr_db), "--snr-db")
-    return SweepSpec(
-        selector=ns.constellation,
-        snr_db=snr_db,
-        sigma_sq=_parse_sigma_list(sigma_text) if sigma_text else (),
-        gh_order=ns.gh_order,
-        mc_samples=ns.mc_samples,
-        seed=ns.seed,
-    )
-
-
-def _run_sweep(ns, command: str, default_sigma: str | None = None) -> int:
-    spec = _spec_from(ns, default_sigma=default_sigma)
-    c = parse_constellation_selector(spec.selector)
-    records = _build_records(c, spec)
-    with _out_stream(ns) as target:
-        if ns.format == "csv":
-            emit_csv(records, target)
-        else:
-            emit_json([asdict(r) for r in records], target, _meta(command, spec))
-    method = _meta(command, spec)["method"]
-    where = ns.out or "stdout"
-    _note(f"{command}: wrote {len(records)} rows to {where} (method={method})")
-    return 0
-
-
-def _search_options(ns) -> SearchOptions:
+def _cmd_peaks(ns) -> int:
+    """maximize and max-sweep: the refined peak for each noise ratio."""
     lo, hi, step = _parse_range(ns.scan_db, "--scan-db")
-    _check_db(float(_grid(lo, hi, step, "--scan-db")[-1]), "--scan-db")
-    _finite((ns.tol_db,), "--tol-db", str(ns.tol_db))
-    return SearchOptions(
-        scan_lo_db=lo,
-        scan_hi_db=hi,
-        scan_step_db=step,
-        tol_db=ns.tol_db,
-        gh_order=ns.gh_order,
-    )
-
-
-def _max_meta(command: str, ns, opts: SearchOptions) -> dict:
-    return {
-        "tool": "ccsecrecy",
-        "version": __version__,
-        "command": command,
-        "constellation": ns.constellation,
-        "method": "gauss_hermite",
-        "gh_order": opts.gh_order,
-        "scan_db": [opts.scan_lo_db, opts.scan_hi_db, opts.scan_step_db],
-        "tol_db": opts.tol_db,
-    }
-
-
-def _cmd_maximize(ns) -> int:
-    opts = _search_options(ns)
+    # argparse has checked --tol-db and --gh-order, so SearchOptions can only
+    # reject the scan grid: too many points, or a top value that overflows.
+    opts = _as_usage("--scan-db", SearchOptions, lo, hi, step, ns.tol_db, ns.gh_order)
     sigmas = _parse_sigma_list(ns.sigma2)
-    if len(sigmas) != 1:
+    if ns.command == "maximize" and len(sigmas) != 1:
         raise UsageError("maximize takes a single --sigma2 value; use max-sweep for lists")
     c = parse_constellation_selector(ns.constellation)
-    result = find_secrecy_maximum(c, sigmas[0], opts)
-    row = {"constellation": c.name, "sigma_sq": sigmas[0], **asdict(result)}
-    with _out_stream(ns) as target:
-        if ns.format == "csv":
-            csv_row = SweepRow(
-                sigma_sq=sigmas[0],
-                snr_max_db=result.snr_max_db,
-                snr_max_linear=result.snr_max_linear,
-                c_max=result.c_max,
-                unimodal_ok=result.unimodal_ok,
-            )
-            _emit_max_csv(c.name, [csv_row], target)
-        else:
-            emit_json([row], target, _max_meta("maximize", ns, opts))
-    _note(
-        f"maximize: peak {result.c_max:.6g} bits at {result.snr_max_db:.4g} dB "
-        f"(unimodal_ok={result.unimodal_ok})"
-    )
-    return 0
-
-
-def _cmd_max_sweep(ns) -> int:
-    opts = _search_options(ns)
-    sigmas = _parse_sigma_list(ns.sigma2)
-    c = parse_constellation_selector(ns.constellation)
-    rows = sweep_max_vs_sigma(c, sigmas, opts)
-    with _out_stream(ns) as target:
-        if ns.format == "csv":
-            _emit_max_csv(c.name, rows, target)
-        else:
-            payload = [{"constellation": c.name, **asdict(r)} for r in rows]
-            emit_json(payload, target, _max_meta("max-sweep", ns, opts))
-    where = ns.out or "stdout"
-    _note(f"max-sweep: wrote {len(rows)} rows to {where}")
-    return 0
+    rows = [{"constellation": c.name, **asdict(r)} for r in sweep_max_vs_sigma(c, sigmas, opts)]
+    return _emit(ns, PEAK_COLUMNS, rows, method="gauss_hermite", gh_order=opts.gh_order,
+                 scan_db=[lo, hi, step], tol_db=opts.tol_db)
 
 
 def _cmd_constellation(ns) -> int:
-    from .constellation import average_energy, min_distance
-
     c = parse_constellation_selector(ns.constellation)
-    with _out_stream(ns) as target:
-        if ns.format == "csv":
-            lines = [POINTS_CSV_HEADER]
-            for k, p in enumerate(c.points):
-                lines.append(f"{k},{p.real:.17g},{p.imag:.17g}")
-            target.write("\n".join(lines) + "\n")
-        else:
-            meta = {
-                "tool": "ccsecrecy",
-                "version": __version__,
-                "command": "constellation",
-                "constellation": ns.constellation,
-                "name": c.name,
-                "size": c.size,
-                "avg_energy": average_energy(c),
-                "min_distance": min_distance(c),
-            }
-            rows = [
-                {"index": k, "re": p.real, "im": p.imag}
-                for k, p in enumerate(c.points)
-            ]
-            emit_json(rows, target, meta)
-    _note(f"constellation: {c.name} with {c.size} points")
-    return 0
+    rows = [{"index": k, "re": p.real, "im": p.imag} for k, p in enumerate(c.points.tolist())]
+    return _emit(ns, POINT_COLUMNS, rows, digits=17, name=c.name, size=c.size,
+                 avg_energy=average_energy(c), min_distance=min_distance(c))
 
 
-def _int_in(low: int, high: int | None, bounds: str):
-    """argparse type for an integer in [low, high), or >= low if high is None."""
+def _number_in(kind, low, high, bounds: str):
+    """argparse type for a number of the kind (int or float) in [low, high)."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low or (high is not None and value >= high):
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        # Written so that NaN is rejected too.
+        if not low <= value < high:
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
 
     return parse
 
 
-_gh_order = _int_in(1, MAX_ORDER + 1, f"in [1, {MAX_ORDER}]")
+_gh_order = _number_in(int, 1, MAX_ORDER + 1, f"in [1, {MAX_ORDER}]")
 # A standard error needs at least two samples.
-_mc_samples = _int_in(2, None, "at least 2")
-_seed = _int_in(0, 2**64, "in [0, 2^64)")
-
-
-def _add_common(parser: argparse.ArgumentParser, *, sigma_required: bool) -> None:
-    parser.add_argument("--constellation", required=True,
-                        help="bpsk, psk<M>, qam<M>, or file:<path>")
-    parser.add_argument("--sigma2", required=sigma_required,
-                        help="eavesdropper noise ratio(s): comma list or lo:hi:step "
-                             f"of at most {MAX_GRID_POINTS} points")
-    parser.add_argument("--gh-order", type=_gh_order, default=32,
-                        help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+_mc_samples = _number_in(int, 2, math.inf, "at least 2")
+_seed = _number_in(int, 0, 2**64, "in [0, 2^64)")
+# math.ulp(0.0) is the smallest float above 0.
+_tol_db = _number_in(float, math.ulp(0.0), math.inf, "positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,46 +258,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, default_sigma, blurb in (
-        ("mi", "1", "mutual-information rows over an SNR grid"),
-        ("secrecy", None, "secrecy-capacity rows at given noise ratios"),
-        ("sweep", None, "rate curves over an SNR grid and noise-ratio list"),
-        ("surface", None, "rate surface over SNR and noise-ratio grids"),
-    ):
+    commands = {
+        "mi": (_cmd_rates, "sweep with --sigma2 1 by default: mutual-information rows"),
+        "sweep": (_cmd_rates, "rate curves over an SNR grid and noise-ratio list"),
+        "maximize": (_cmd_peaks, "locate the secrecy-capacity peak"),
+        "max-sweep": (_cmd_peaks, "peak location for each noise ratio"),
+        "constellation": (_cmd_constellation, "emit constellation points and stats"),
+    }
+    for name, (func, blurb) in commands.items():
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--snr-db", required=True,
-                       help="SNR in dB: a value or start:stop:step of at most "
-                            f"{MAX_GRID_POINTS} points "
-                            "(write --snr-db=-10:40:0.5 when it starts negative)")
-        _add_common(p, sigma_required=default_sigma is None)
-        p.add_argument("--mc-samples", type=_mc_samples, default=None,
-                       help="switch to Monte-Carlo with this many samples (at least 2)")
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="Monte-Carlo seed in [0, 2^64) (default 0)")
-        p.set_defaults(func=lambda ns, cmd=name, ds=default_sigma:
-                       _run_sweep(ns, cmd, default_sigma=ds))
-
-    for name, handler, blurb in (
-        ("maximize", _cmd_maximize, "locate the secrecy-capacity peak"),
-        ("max-sweep", _cmd_max_sweep, "peak location for each noise ratio"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        _add_common(p, sigma_required=True)
-        p.add_argument("--scan-db", default="-30:50:0.5",
-                       help="coarse scan window lo:hi:step in dB, at most "
-                            f"{MAX_GRID_POINTS} points "
-                            "(write --scan-db=-30:50:0.5 when it starts negative)")
-        p.add_argument("--tol-db", type=float, default=0.01,
-                       help="refinement tolerance in dB (default 0.01)")
-        p.set_defaults(func=handler)
-
-    p = sub.add_parser("constellation", help="emit constellation points and stats")
-    p.add_argument("--constellation", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_constellation)
-
+        p.set_defaults(func=func)
+        p.add_argument("--constellation", required=True,
+                       help="bpsk, psk<M>, qam<M>, or file:<path>")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if func is _cmd_constellation:
+            continue
+        p.add_argument("--sigma2", required=name != "mi", default="1" if name == "mi" else None,
+                       help="eavesdropper noise ratio(s): comma list or lo:hi:step "
+                            f"of at most {MAX_GRID_POINTS} points")
+        p.add_argument("--gh-order", type=_gh_order, default=32,
+                       help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
+        if func is _cmd_rates:
+            p.add_argument("--snr-db", required=True,
+                           help="SNR in dB: a value or start:stop:step of at most "
+                                f"{MAX_GRID_POINTS} points "
+                                "(write --snr-db=-10:40:0.5 when it starts negative)")
+            p.add_argument("--mc-samples", type=_mc_samples, default=None,
+                           help="switch to Monte-Carlo with this many samples (at least 2)")
+            p.add_argument("--seed", type=_seed, default=0,
+                           help="Monte-Carlo seed in [0, 2^64) (default 0)")
+        else:
+            p.add_argument("--scan-db", default="-30:50:0.5",
+                           help="coarse scan window lo:hi:step in dB, at most "
+                                f"{MAX_GRID_POINTS} points "
+                                "(write --scan-db=-30:50:0.5 when it starts negative)")
+            p.add_argument("--tol-db", type=_tol_db, default=0.01,
+                           help="refinement tolerance in dB, above 0 (default 0.01)")
     return parser
 
 
@@ -503,10 +308,10 @@ def run_cli(args: list[str]) -> int:
     try:
         return ns.func(ns)
     except UsageError as exc:
-        _note(f"usage error: {exc}")
+        print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, OSError) as exc:
-        _note(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -122,10 +122,11 @@ def make_qam(m: int) -> Constellation:
     lexicographically by (real, imag). M must be a perfect square with an
     even side length (4, 16, 64, ...).
     """
-    side = math.isqrt(m)
-    if side * side != m or side % 2 != 0:
+    side = math.isqrt(max(m, 0))
+    # 0 is a square with even side too, but no constellation.
+    if m < 4 or side * side != m or side % 2 != 0:
         raise ValueError(
-            f"QAM size must be a perfect square with even side, got {m}"
+            f"QAM size must be a perfect square with even side, at least 4, got {m}"
         )
     levels = np.arange(-(side - 1), side, 2, dtype=float)
     re, im = np.meshgrid(levels, levels, indexing="ij")

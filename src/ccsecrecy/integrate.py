@@ -76,14 +76,13 @@ def gauss_hermite(n: int) -> HermiteRule:
 
 
 def _evaluate(f: Callable, z: np.ndarray) -> np.ndarray:
-    """Apply f to a complex array, falling back to a scalar loop if needed."""
-    try:
-        values = np.asarray(f(z), dtype=float)
-        if values.shape == z.shape:
-            return values
-    except TypeError:
-        pass
-    return np.array([float(f(v)) for v in z.ravel()]).reshape(z.shape)
+    """Apply a vectorised f to a complex array; it must keep the array's shape."""
+    values = np.asarray(f(z), dtype=float)
+    if values.shape != z.shape:
+        raise ValueError(
+            f"integrand must return an array of shape {z.shape}, got shape {values.shape}"
+        )
+    return values
 
 
 def expect_complex_gaussian(f: Callable, variance: float, rule: HermiteRule) -> float:
@@ -100,8 +99,8 @@ def expect_complex_gaussian(f: Callable, variance: float, rule: HermiteRule) -> 
     Parameters
     ----------
     f : callable
-        Real-valued function of one complex argument. May be vectorized
-        (complex ndarray in, same-shape float ndarray out) or scalar.
+        Real-valued function of one complex argument, vectorised: a complex
+        ndarray in, a float ndarray of the same shape out.
     variance : float
         E|N|^2, must be positive.
     rule : HermiteRule
@@ -144,9 +143,6 @@ class ComplexGaussianStream:
         self.variance = float(variance)
         self.cfg = cfg
 
-    def __len__(self) -> int:
-        return self.cfg.samples
-
     def take(self, start: int, count: int) -> np.ndarray:
         """Return samples [start, start + count) as a complex array."""
         if start < 0 or count < 0:
@@ -156,21 +152,6 @@ class ComplexGaussianStream:
         u = np.random.Generator(bit_gen).random((count, _WORDS_PER_BLOCK))
         radius = np.sqrt(-self.variance * np.log1p(-u[:, 0]))
         return radius * np.exp(2j * np.pi * u[:, 1])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step != 1:
-                raise ValueError("stream slices must be contiguous")
-            return self.take(start, max(0, stop - start))
-        if not 0 <= index < len(self):
-            raise IndexError(f"sample index {index} out of range")
-        return complex(self.take(index, 1)[0])
-
-
-def complex_gaussian_sample_stream(variance: float, cfg: MCConfig) -> ComplexGaussianStream:
-    """Open a seekable stream of CN(0, variance) samples for the given config."""
-    return ComplexGaussianStream(variance, cfg)
 
 
 def _cores() -> int:
@@ -193,9 +174,10 @@ def mc_expect_complex_gaussian(
     Parameters
     ----------
     f : callable
-        Real-valued function of one complex argument, vectorized or scalar.
-        It is called at the same time from several threads, on disjoint
-        pieces of the sample stream, so it must be thread-safe.
+        Real-valued function of one complex argument, vectorised as for
+        expect_complex_gaussian. It is called at the same time from several
+        threads, on disjoint pieces of the sample stream, so it must be
+        thread-safe.
     variance : float
         E|N|^2, must be positive.
     cfg : MCConfig

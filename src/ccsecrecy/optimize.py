@@ -63,8 +63,9 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class MaximumResult:
-    """Refined secrecy-capacity maximum and how it was found."""
+    """Refined secrecy-capacity maximum for one noise ratio, and how it was found."""
 
+    sigma_sq: float
     snr_max_db: float
     snr_max_linear: float
     c_max: float
@@ -74,24 +75,21 @@ class MaximumResult:
     unimodal_ok: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Per-noise-ratio maximum from sweep_max_vs_sigma."""
-
-    sigma_sq: float
-    snr_max_db: float
-    snr_max_linear: float
-    c_max: float
-    unimodal_ok: bool
-
-
 def _golden(f: Callable[[float], float], lo: float, hi: float, tol: float):
+    """Golden-section search for the maximum of f on [lo, hi].
+
+    Returns (x, f(x), iterations). x is within tol of the argmax when f is
+    unimodal on the bracket, or as close as float spacing allows.
+    """
     a, b = lo, hi
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     iterations = 0
-    while (b - a) > tol:
+    # Once float spacing stops the bracket from shrinking, c and d collide
+    # with each other or an end, and a tolerance below that spacing would
+    # never be met.
+    while (b - a) > tol and a < c < d < b:
         iterations += 1
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -103,23 +101,6 @@ def _golden(f: Callable[[float], float], lo: float, hi: float, tol: float):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x), iterations
-
-
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section search for the maximum of f on [lo, hi].
-
-    Each iteration shrinks the bracket by the golden ratio; the returned x
-    is within tol of the true argmax whenever f is unimodal on the bracket.
-    Returns (x, f(x)).
-    """
-    if not lo < hi:
-        raise ValueError(f"invalid bracket: need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    x, fx, _ = _golden(f, lo, hi, tol)
-    return x, fx
 
 
 def _grid_count(start: float, stop: float, step: float) -> int:
@@ -167,21 +148,16 @@ def find_secrecy_maximum(
     negligibility floor, refines each bracket by golden-section search, and
     returns the best refined point (ties within 1e-9 bits go to the lower
     SNR). unimodal_ok reports whether the scan saw exactly one local maximum.
+    This is the one-ratio case of sweep_max_vs_sigma.
     """
-    opts = opts or SearchOptions()
-    if sigma_sq <= 1.0:
-        raise ValueError(
-            f"eavesdropper noise ratio must exceed 1 for a positive peak, got {sigma_sq}"
-        )
-    grid, values = scan_secrecy_grid(c, sigma_sq, opts)
-    return _refine(c, sigma_sq, grid, values, opts)
+    return sweep_max_vs_sigma(c, [sigma_sq], opts)[0]
 
 
 def _refine(
     c: Constellation, sigma_sq: float, grid: np.ndarray, values: np.ndarray,
     opts: SearchOptions,
 ) -> MaximumResult:
-    """find_secrecy_maximum from a scan already made."""
+    """The refined maximum of one noise ratio's scan."""
     if float(values.max()) <= NEGLIGIBLE:
         raise ValueError(
             "no interior maximum: secrecy capacity is negligible over the scan range"
@@ -216,6 +192,7 @@ def _refine(
             best = (x, fx, (lo, hi), iterations)
     x, fx, bracket, iterations = best
     return MaximumResult(
+        sigma_sq=sigma_sq,
         snr_max_db=x,
         snr_max_linear=db_to_linear(x),
         c_max=fx,
@@ -228,31 +205,23 @@ def _refine(
 
 def sweep_max_vs_sigma(
     c: Constellation, sigma_list: Sequence[float], opts: SearchOptions | None = None
-) -> list[SweepRow]:
+) -> list[MaximumResult]:
     """Refined secrecy maximum for each noise ratio in an ascending list.
 
-    One scan covers every ratio, so the main-channel curve is computed once;
-    each ratio's row is then find_secrecy_maximum's result for it.
+    One scan covers every ratio, so the main-channel curve is computed once,
+    and each ratio's scan is then refined as find_secrecy_maximum describes.
+    A ratio's result does not depend on the other ratios in the list.
     """
     sigmas = list(sigma_list)
     if not sigmas:
         raise ValueError("need at least one eavesdropper noise ratio")
-    if any(s <= 1.0 for s in sigmas):
-        raise ValueError("every noise ratio must exceed 1")
+    for sigma_sq in sigmas:
+        if sigma_sq <= 1.0:
+            raise ValueError(
+                f"eavesdropper noise ratio must exceed 1 for a positive peak, got {sigma_sq}"
+            )
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("noise ratios must be strictly ascending")
     opts = opts or SearchOptions()
     grid, curves = scan_secrecy_grid(c, np.array(sigmas, dtype=float)[:, None], opts)
-    rows = []
-    for sigma_sq, values in zip(sigmas, curves):
-        result = _refine(c, sigma_sq, grid, values, opts)
-        rows.append(
-            SweepRow(
-                sigma_sq=sigma_sq,
-                snr_max_db=result.snr_max_db,
-                snr_max_linear=result.snr_max_linear,
-                c_max=result.c_max,
-                unimodal_ok=result.unimodal_ok,
-            )
-        )
-    return rows
+    return [_refine(c, s, grid, values, opts) for s, values in zip(sigmas, curves)]

@@ -32,7 +32,7 @@ from ccsecrecy import (
     scan_secrecy_grid,
     sweep_max_vs_sigma,
 )
-from ccsecrecy.cli import CSV_HEADER, run_cli
+from ccsecrecy.cli import run_cli
 
 REFERENCE = (
     ("bpsk", make_bpsk()),
@@ -251,6 +251,6 @@ def test_criterion_11_cli_reproducibility(tmp_path):
         assert run_cli(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         lines = first.read_text().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap"
         assert lines[-1] == ""
         assert len(lines) == 1 + 404 + 1  # header + data rows + trailing newline

@@ -13,15 +13,11 @@ from ccsecrecy import (
     cc_mutual_information_mc,
     cc_output_entropy,
     cc_secrecy_capacity,
-    complex_gaussian_sample_stream,
-    conditional_density,
     db_to_linear,
-    expect_complex_gaussian,
     from_points,
     gauss_hermite,
     gaussian_channel_capacity,
     gaussian_secrecy_capacity,
-    logsumexp,
     make_bpsk,
     make_psk,
     make_qam,
@@ -111,43 +107,6 @@ def test_mi_rejects_nan_rate_from_infinite_variance(rule32):
     # h(y) and the conditional entropy are both +inf, so the raw rate is NaN.
     with pytest.raises(ValueError, match="not finite"):
         cc_mutual_information(make_bpsk(), db_to_linear(5.0), math.inf, rule32)
-
-
-def test_conditional_density_values(rule32):
-    assert conditional_density(2.0 + 0.0j, 1.0, 4.0, 1.0) == pytest.approx(1.0 / math.pi)
-    # |y - sqrt(snr) x|^2 = 1 at unit variance.
-    assert conditional_density(1.0 + 0.0j, 0.0, 0.0, 1.0) == pytest.approx(
-        1.0 / (math.pi * math.e)
-    )
-    # Total probability mass is 1 (importance-reweighted quadrature).
-    snr, v, x = 2.5, 1.7, 0.3 - 0.4j
-
-    def mass(n):
-        target = conditional_density(math.sqrt(snr) * x + n, x, snr, v)
-        envelope = np.exp(-np.abs(n) ** 2 / (2 * v)) / (math.pi * 2 * v)
-        return target / envelope
-
-    assert expect_complex_gaussian(mass, 2 * v, rule32) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_conditional_density_validation():
-    with pytest.raises(ValueError, match="variance"):
-        conditional_density(0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match="snr"):
-        conditional_density(0.0, 0.0, -1.0, 1.0)
-
-
-def test_logsumexp_values():
-    assert logsumexp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert logsumexp([-1000.0, -1000.0]) == pytest.approx(-1000.0 + math.log(2.0))
-    assert logsumexp([5.0]) == 5.0
-    assert logsumexp([-math.inf, 0.0]) == pytest.approx(0.0)
-    assert logsumexp([-math.inf, -math.inf]) == -math.inf
-
-
-def test_logsumexp_rejects_empty():
-    with pytest.raises(ValueError, match="empty"):
-        logsumexp([])
 
 
 def test_output_entropy_pure_noise(rule32, reference_constellations):
@@ -421,7 +380,7 @@ def test_mc_kernel_matches_direct_sum(monkeypatch, name):
         for variance in (1.0, 5.0, 20.0):
             snr = 10.0 ** (db / 10.0)
             est, kernel = _mc_with_kernel(monkeypatch, c, snr, variance, cfg)
-            n = complex_gaussian_sample_stream(variance, cfg)[:]
+            n = integrate.ComplexGaussianStream(variance, cfg).take(0, cfg.samples)
             want = _direct_mc_values(c.points, snr, variance, n)
             got = kernel(n)
             assert np.max(np.abs(got - want)) <= 1e-12, (db, variance)

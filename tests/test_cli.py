@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import io
 import json
@@ -8,10 +9,9 @@ import pytest
 from ccsecrecy import MCConfig, cc_mutual_information, cc_mutual_information_mc, gauss_hermite
 from ccsecrecy import capacity, cli, optimize
 from ccsecrecy.cli import (
-    CSV_HEADER,
-    MAX_CSV_HEADER,
-    POINTS_CSV_HEADER,
-    CurveRecord,
+    PEAK_COLUMNS,
+    POINT_COLUMNS,
+    RATE_COLUMNS,
     UsageError,
     emit_csv,
     emit_json,
@@ -20,6 +20,11 @@ from ccsecrecy.cli import (
     _parse_grid,
     _parse_sigma_list,
 )
+
+
+CSV_HEADER = ",".join(RATE_COLUMNS)
+MAX_CSV_HEADER = ",".join(PEAK_COLUMNS)
+POINTS_CSV_HEADER = ",".join(POINT_COLUMNS)
 
 
 def _read_rows(path):
@@ -60,6 +65,20 @@ def test_selector_errors(tmp_path):
     shape.write_text(json.dumps({"points": [1, 2]}))
     with pytest.raises(ValueError, match="re, im"):
         parse_constellation_selector(f"file:{shape}")
+
+
+@pytest.mark.parametrize("selector", ["qam²", "psk²", "qam١٦"])
+def test_selector_digits_must_be_ascii(selector):
+    # str.isdigit accepts all three; int() cannot read the superscripts and
+    # reads the Arabic-Indic digits as 16. A size is written in ASCII digits.
+    with pytest.raises(UsageError, match="<M>"):
+        parse_constellation_selector(selector)
+    assert run_cli(["constellation", "--constellation", selector]) == 1
+
+
+def test_qam0_is_a_domain_error(capsys):
+    assert run_cli(["constellation", "--constellation", "qam0"]) == 2
+    assert "at least 4" in capsys.readouterr().err
 
 
 def test_selector_file_rejects_booleans(tmp_path):
@@ -104,11 +123,12 @@ def test_sigma_list_parsing():
 
 def test_emit_csv_shapes():
     empty = io.StringIO()
-    emit_csv([], empty)
+    emit_csv(RATE_COLUMNS, [], empty)
     assert empty.getvalue() == CSV_HEADER + "\n"
     one = io.StringIO()
     emit_csv(
-        [CurveRecord("bpsk", 1.0, 2.0, 0.5, 0.25, 0.25, 0.3, 1.0)],
+        RATE_COLUMNS,
+        [dict(zip(RATE_COLUMNS, ("bpsk", 1.0, 2.0, 0.5, 0.25, 0.25, 0.3, 1.0)))],
         one,
     )
     lines = one.getvalue().split("\n")
@@ -127,7 +147,7 @@ def test_emit_json_empty():
 def test_secrecy_smoke(tmp_path, capsys):
     out = tmp_path / "row.csv"
     code = run_cli(
-        ["secrecy", "--constellation", "bpsk", "--snr-db", "5",
+        ["sweep", "--constellation", "bpsk", "--snr-db", "5",
          "--sigma2", "4", "--out", str(out)]
     )
     assert code == 0
@@ -146,7 +166,7 @@ def test_secrecy_smoke(tmp_path, capsys):
 def test_secrecy_row_matches_library(tmp_path):
     out = tmp_path / "row.csv"
     assert run_cli(
-        ["secrecy", "--constellation", "qam4", "--snr-db", "3",
+        ["sweep", "--constellation", "qam4", "--snr-db", "3",
          "--sigma2", "5", "--out", str(out)]
     ) == 0
     header, rows = _read_rows(out)
@@ -308,20 +328,20 @@ def test_exit_codes(tmp_path):
     assert run_cli(["--help"]) == 0
     assert run_cli(["bogus"]) == 1
     assert run_cli([]) == 1
-    assert run_cli(["secrecy", "--constellation", "bpsk", "--snr-db", "5"]) == 1
+    assert run_cli(["sweep", "--constellation", "bpsk", "--snr-db", "5"]) == 1
     assert run_cli(
-        ["secrecy", "--constellation", "nope", "--snr-db", "5", "--sigma2", "4"]
+        ["sweep", "--constellation", "nope", "--snr-db", "5", "--sigma2", "4"]
     ) == 1
     # Eavesdropper less noisy than the intended receiver: domain error.
     assert run_cli(
-        ["secrecy", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "0.5"]
+        ["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "0.5"]
     ) == 2
     assert run_cli(
-        ["secrecy", "--constellation", "qam7", "--snr-db", "5", "--sigma2", "4"]
+        ["sweep", "--constellation", "qam7", "--snr-db", "5", "--sigma2", "4"]
     ) == 2
     missing = tmp_path / "no_such_dir" / "out.csv"
     assert run_cli(
-        ["secrecy", "--constellation", "bpsk", "--snr-db", "5",
+        ["sweep", "--constellation", "bpsk", "--snr-db", "5",
          "--sigma2", "4", "--out", str(missing)]
     ) == 2
 
@@ -329,7 +349,7 @@ def test_exit_codes(tmp_path):
 def test_surface_cross_product(tmp_path):
     out = tmp_path / "surface.csv"
     assert run_cli(
-        ["surface", "--constellation", "bpsk", "--snr-db", "0:10:5",
+        ["sweep", "--constellation", "bpsk", "--snr-db", "0:10:5",
          "--sigma2", "2:4:1", "--gh-order", "16", "--out", str(out)]
     ) == 0
     _, rows = _read_rows(out)
@@ -403,6 +423,24 @@ def test_monte_carlo_flag_range_edges_are_accepted(tmp_path):
 def test_nonfinite_numbers_are_usage_errors(args, tmp_path):
     out = tmp_path / "out.csv"
     assert run_cli(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["maximize", "max-sweep"])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_tol_db_must_be_a_positive_number(command, tol, tmp_path):
+    out = tmp_path / "out.csv"
+    args = [command, "--constellation", "bpsk", "--sigma2", "5", f"--tol-db={tol}"]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mi", "sweep"])
+def test_empty_sigma2_is_a_usage_error(command, tmp_path):
+    # An empty list names no noise ratio, even where --sigma2 has a default.
+    out = tmp_path / "out.csv"
+    args = [command, "--constellation", "bpsk", "--snr-db", "5", "--sigma2=", "--out", str(out)]
+    assert run_cli(args) == 1
     assert not out.exists()
 
 
@@ -503,8 +541,10 @@ BENCHMARK_ENTRY_POINTS = (
          "--mc-samples", "100", "--seed", "3"],
         ["maximize", "--constellation", "bpsk", "--sigma2", "5"],
         ["max-sweep", "--constellation", "qam4", "--sigma2", "5,10,15,20"],
+        ["mi", "--constellation", "qam16", "--snr-db", "10"],
+        ["mi", "--constellation", "qam16", "--snr-db", "10", "--mc-samples", "100"],
     ],
-    ids=["sweep-gh", "sweep-mc", "maximize", "max-sweep"],
+    ids=["sweep-gh", "sweep-mc", "maximize", "max-sweep", "mi-gh", "mi-mc"],
 )
 def test_first_capacity_work_goes_through_a_benchmark_entry_point(args, monkeypatch, tmp_path):
     kernel = []
@@ -521,6 +561,54 @@ def test_first_capacity_work_goes_through_a_benchmark_entry_point(args, monkeypa
     assert kernel == []
     names = inspect.signature(capacity.cc_mutual_information).parameters
     assert {"c", "snr", "variance", "rule"} <= set(names)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mi", "--constellation", "bpsk", "--snr-db", "0:10:5"],
+        ["sweep", "--constellation", "bpsk", "--snr-db", "0:10:5", "--sigma2", "2,5"],
+        ["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-10:15:0.5"],
+        ["max-sweep", "--constellation", "bpsk", "--sigma2", "2,5", "--scan-db=-10:15:0.5"],
+        ["constellation", "--constellation", "psk8"],
+    ],
+    ids=["mi", "sweep", "maximize", "max-sweep", "constellation"],
+)
+def test_every_command_writes_through_a_benchmark_emitter(args, fmt, monkeypatch, tmp_path):
+    # perfbench/hook.py wraps emit_csv and emit_json as module globals and
+    # counts the rows it binds by the parameter name "rows".
+    seen = []
+    for name in ("emit_csv", "emit_json"):
+        real = getattr(cli, name)
+        assert "rows" in inspect.signature(real).parameters
+
+        def spy(*a, real=real, **k):
+            seen.append(len(inspect.signature(real).bind(*a, **k).arguments["rows"]))
+            return real(*a, **k)
+
+        monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / "out"
+    assert run_cli(args + ["--format", fmt, "--out", str(out)]) == 0
+    assert len(seen) == 1 and seen[0] > 0
+
+
+def test_public_surface():
+    import ccsecrecy
+
+    assert sorted(ccsecrecy.__all__) == sorted([
+        "__version__", "Constellation", "HermiteRule", "MCConfig", "MIEstimate",
+        "MaximumResult", "SearchOptions", "WiretapChannel", "average_energy",
+        "cc_mutual_information", "cc_mutual_information_mc", "cc_output_entropy",
+        "cc_secrecy_capacity", "db_to_linear", "expect_complex_gaussian",
+        "find_secrecy_maximum", "from_points", "gauss_hermite", "gaussian_channel_capacity",
+        "gaussian_secrecy_capacity", "make_bpsk", "make_psk", "make_qam",
+        "mc_expect_complex_gaussian", "min_distance", "normalize_channel",
+        "scan_secrecy_grid", "sweep_max_vs_sigma",
+    ])
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands) == ["mi", "sweep", "maximize", "max-sweep", "constellation"]
 
 
 # Grids above the point cap and dB values whose linear ratio overflows a
@@ -557,3 +645,118 @@ def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_pat
 def test_grid_at_the_point_cap_is_accepted():
     grid = _parse_grid(f"0:1:{1.0 / (optimize.MAX_GRID_POINTS - 1)!r}", "--snr-db")
     assert len(grid) == optimize.MAX_GRID_POINTS
+
+
+# CLI bytes recorded before the rate and peak commands shared one emitter.
+# JSON is pinned as the exact text json.dumps(..., indent=2) gives for these
+# values; float reprs round-trip, so equal text means equal bytes.
+FROZEN_JSON = {
+    "maximize-bpsk": (
+        ["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-10:15:0.5",
+         "--format", "json"],
+        {"meta": {"tool": "ccsecrecy", "version": "0.1.0", "command": "maximize",
+                  "constellation": "bpsk", "method": "gauss_hermite", "gh_order": 32,
+                  "scan_db": [-10.0, 15.0, 0.5], "tol_db": 0.01},
+         "rows": [{"constellation": "bpsk", "sigma_sq": 5.0,
+                   "snr_max_db": 1.8597200856351472, "snr_max_linear": 1.5345180758333892,
+                   "c_max": 0.5098292242052946, "bracket": [1.5, 2.5],
+                   "grid_local_maxima": 1, "iterations": 10, "unimodal_ok": True}]},
+    ),
+    "constellation-psk8": (
+        ["constellation", "--constellation", "psk8", "--format", "json"],
+        {"meta": {"tool": "ccsecrecy", "version": "0.1.0", "command": "constellation",
+                  "constellation": "psk8", "name": "psk8", "size": 8, "avg_energy": 1.0,
+                  "min_distance": 0.7653668647301795},
+         "rows": [{"index": 0, "re": 1.0, "im": 0.0},
+                  {"index": 1, "re": 0.7071067811865476, "im": 0.7071067811865475},
+                  {"index": 2, "re": 6.123233995736766e-17, "im": 1.0},
+                  {"index": 3, "re": -0.7071067811865475, "im": 0.7071067811865476},
+                  {"index": 4, "re": -1.0, "im": 1.2246467991473532e-16},
+                  {"index": 5, "re": -0.7071067811865477, "im": -0.7071067811865475},
+                  {"index": 6, "re": -1.8369701987210297e-16, "im": -1.0},
+                  {"index": 7, "re": 0.7071067811865474, "im": -0.7071067811865477}]},
+    ),
+    "sweep-qam4": (
+        ["sweep", "--constellation", "qam4", "--snr-db", "0:10:5", "--sigma2", "5",
+         "--format", "json"],
+        {"meta": {"tool": "ccsecrecy", "version": "0.1.0", "command": "sweep",
+                  "constellation": "qam4", "method": "gauss_hermite", "gh_order": 32,
+                  "mc_samples": None, "seed": None},
+         "rows": [{"constellation": "qam4", "snr_db": 0.0, "sigma_sq": 5.0,
+                   "mi_main": 0.9718883554901714, "mi_eve": 0.2628321647056948,
+                   "cc_sc": 0.7090561907844766, "gc_sc": 0.7369655941662062,
+                   "gaussian_cap": 1.0},
+                  {"constellation": "qam4", "snr_db": 5.0, "sigma_sq": 5.0,
+                   "mi_main": 1.7183693061020389, "mi_eve": 0.6990276732334832,
+                   "cc_sc": 1.0193416328685556, "gc_sc": 1.350329515204619,
+                   "gaussian_cap": 2.057373208606795},
+                  {"constellation": "qam4", "snr_db": 10.0, "sigma_sq": 5.0,
+                   "mi_main": 1.9935439168632678, "mi_eve": 1.4429042404600851,
+                   "cc_sc": 0.5506396764031827, "gc_sc": 1.874469117916141,
+                   "gaussian_cap": 3.4594316186372973}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_JSON))
+def test_json_bytes_are_frozen(name, tmp_path):
+    args, payload = FROZEN_JSON[name]
+    out = tmp_path / "out.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+QAM16_SQUARE_LEVELS = ("-0.94868329805051377", "-0.31622776601683794",
+                       "0.31622776601683794", "0.94868329805051377")
+
+FROZEN_CSV = {
+    "constellation-qam16": (
+        ["constellation", "--constellation", "qam16"],
+        "index,re,im\n" + "".join(
+            f"{4 * i + j},{re},{im}\n"
+            for i, re in enumerate(QAM16_SQUARE_LEVELS)
+            for j, im in enumerate(QAM16_SQUARE_LEVELS)
+        ),
+    ),
+    "mi-psk8": (
+        ["mi", "--constellation", "psk8", "--snr-db", "0:20:10"],
+        "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap\n"
+        "psk8,0,1,0.980891051,0.980891051,0,0,1\n"
+        "psk8,10,1,2.6774095,2.6774095,0,0,3.45943162\n"
+        "psk8,20,1,2.99999973,2.99999973,0,0,6.65821148\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_CSV))
+def test_csv_bytes_are_frozen(name, tmp_path):
+    args, want = FROZEN_CSV[name]
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+
+
+# max-sweep JSON rows recorded when they held only the CSV columns.
+FROZEN_MAX_SWEEP_JSON = {
+    "meta": {"tool": "ccsecrecy", "version": "0.1.0", "command": "max-sweep",
+             "constellation": "bpsk", "method": "gauss_hermite", "gh_order": 32,
+             "scan_db": [-30.0, 50.0, 0.5], "tol_db": 0.01},
+    "rows": [{"constellation": "bpsk", "sigma_sq": 5.0, "snr_max_db": 1.8597200856351472,
+              "snr_max_linear": 1.5345180758333892, "c_max": 0.5098292242052946,
+              "unimodal_ok": True},
+             {"constellation": "bpsk", "sigma_sq": 10.0, "snr_max_db": 2.9599400268659046,
+              "snr_max_linear": 1.976942339685164, "c_max": 0.6711526613001899,
+              "unimodal_ok": True}],
+}
+
+
+def test_max_sweep_json_keeps_its_values_and_adds_the_search_keys(tmp_path):
+    out = tmp_path / "peaks.json"
+    assert run_cli(["max-sweep", "--constellation", "bpsk", "--sigma2", "5,10",
+                    "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["meta"] == FROZEN_MAX_SWEEP_JSON["meta"]
+    assert len(payload["rows"]) == len(FROZEN_MAX_SWEEP_JSON["rows"])
+    for row, old in zip(payload["rows"], FROZEN_MAX_SWEEP_JSON["rows"]):
+        assert {k: row[k] for k in old} == old
+        assert set(row) - set(old) == {"bracket", "grid_local_maxima", "iterations"}

@@ -67,7 +67,8 @@ def test_qam_ordering_is_lexicographic():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("bad", [2, 8, 9, 32])
+# 0 is a square with even side, but no constellation.
+@pytest.mark.parametrize("bad", [0, -4, 2, 8, 9, 32])
 def test_qam_rejects_unsupported_sizes(bad):
     with pytest.raises(ValueError, match="perfect square"):
         make_qam(bad)

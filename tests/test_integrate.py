@@ -6,7 +6,6 @@ import pytest
 from ccsecrecy import integrate
 from ccsecrecy import (
     MCConfig,
-    complex_gaussian_sample_stream,
     expect_complex_gaussian,
     gauss_hermite,
     mc_expect_complex_gaussian,
@@ -82,10 +81,20 @@ def test_expect_real_part_squared(rule32):
     assert abs(got - 2.0) <= 1e-12
 
 
-def test_expect_accepts_scalar_functions(rule32):
-    vectorized = expect_complex_gaussian(lambda z: np.abs(z) ** 2, 1.3, rule32)
-    scalar = expect_complex_gaussian(lambda z: abs(z) ** 2, 1.3, rule32)
-    assert scalar == pytest.approx(vectorized, abs=1e-14)
+# Integrands are vectorised: one that returns another shape, a scalar
+# included, is an error that names both shapes.
+@pytest.mark.parametrize(
+    "f, gh_shape, mc_shape",
+    [(lambda z: np.abs(z)[None], "(1, 32, 32)", "(1, 1000)"), (lambda z: 1.0, "()", "()")],
+    ids=["extra-axis", "scalar"],
+)
+def test_integrands_must_keep_the_sample_shape(f, gh_shape, mc_shape, rule32):
+    with pytest.raises(ValueError) as gh:
+        expect_complex_gaussian(f, 1.3, rule32)
+    assert str(gh.value) == f"integrand must return an array of shape (32, 32), got shape {gh_shape}"
+    with pytest.raises(ValueError) as mc:
+        mc_expect_complex_gaussian(f, 1.3, MCConfig(1000, 5))
+    assert str(mc.value) == f"integrand must return an array of shape (1000,), got shape {mc_shape}"
 
 
 def test_expect_rejects_nonpositive_variance(rule32):
@@ -153,7 +162,7 @@ def test_mc_result_does_not_depend_on_the_core_count(monkeypatch, samples):
 def test_mc_reports_the_first_nonfinite_sample_across_pieces():
     bad = 2**16 + 5
     cfg = MCConfig(2**17, 3)
-    target = complex_gaussian_sample_stream(1.0, cfg).take(bad, 1)[0]
+    target = integrate.ComplexGaussianStream(1.0, cfg).take(bad, 1)[0]
 
     def f(z):
         return np.where(z == target, np.nan, 0.0)
@@ -167,7 +176,7 @@ def test_mc_worker_exception_reaches_the_caller():
         pass
 
     cfg = MCConfig(2**17, 3)
-    second_piece = complex_gaussian_sample_stream(1.0, cfg).take(2**16, 1)[0]
+    second_piece = integrate.ComplexGaussianStream(1.0, cfg).take(2**16, 1)[0]
 
     def f(z):
         if np.any(z == second_piece):
@@ -190,28 +199,26 @@ def test_mc_config_validation(samples, seed):
 
 
 def test_stream_repeat_fetch_is_identical():
-    stream = complex_gaussian_sample_stream(1.0, MCConfig(100, 7))
+    stream = integrate.ComplexGaussianStream(1.0, MCConfig(100, 7))
     assert np.array_equal(stream.take(0, 3), stream.take(0, 3))
 
 
 def test_stream_is_seekable_by_index():
-    stream = complex_gaussian_sample_stream(2.0, MCConfig(1000, 99))
+    stream = integrate.ComplexGaussianStream(2.0, MCConfig(1000, 99))
     block = stream.take(0, 40)
     assert np.array_equal(stream.take(5, 10), block[5:15])
     assert np.array_equal(stream.take(17, 3), block[17:20])
-    assert stream[7] == block[7]
-    assert np.array_equal(stream[3:9], block[3:9])
 
 
 def test_stream_variances_share_one_noise_shape():
     cfg = MCConfig(100, 2024)
-    unit = complex_gaussian_sample_stream(1.0, cfg).take(0, 50)
-    wide = complex_gaussian_sample_stream(5.0, cfg).take(0, 50)
+    unit = integrate.ComplexGaussianStream(1.0, cfg).take(0, 50)
+    wide = integrate.ComplexGaussianStream(5.0, cfg).take(0, 50)
     assert np.allclose(wide, math.sqrt(5.0) * unit, rtol=1e-15, atol=0.0)
 
 
 def test_stream_moments():
-    stream = complex_gaussian_sample_stream(2.0, MCConfig(1_000_000, 11))
+    stream = integrate.ComplexGaussianStream(2.0, MCConfig(1_000_000, 11))
     draws = stream.take(0, 1_000_000)
     power = np.abs(draws) ** 2
     power_se = power.std(ddof=1) / math.sqrt(power.size)
@@ -222,16 +229,13 @@ def test_stream_moments():
 
 
 def test_stream_bounds_and_len():
-    stream = complex_gaussian_sample_stream(1.0, MCConfig(10, 0))
-    assert len(stream) == 10
-    with pytest.raises(IndexError):
-        stream[10]
-    with pytest.raises(ValueError, match="contiguous"):
-        stream[0:10:2]
+    stream = integrate.ComplexGaussianStream(1.0, MCConfig(10, 0))
     with pytest.raises(ValueError, match="nonnegative"):
         stream.take(-1, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        stream.take(0, -1)
 
 
 def test_stream_rejects_nonpositive_variance():
     with pytest.raises(ValueError, match="variance"):
-        complex_gaussian_sample_stream(0.0, MCConfig(10, 0))
+        integrate.ComplexGaussianStream(0.0, MCConfig(10, 0))

@@ -12,7 +12,6 @@ from ccsecrecy import (
     db_to_linear,
     find_secrecy_maximum,
     gauss_hermite,
-    golden_section_max,
     make_bpsk,
     make_qam,
     scan_secrecy_grid,
@@ -25,30 +24,61 @@ FAST = SearchOptions(scan_lo_db=-10.0, scan_hi_db=15.0, scan_step_db=0.5, tol_db
 
 
 def test_golden_quadratic():
-    x, fx = golden_section_max(lambda t: -((t - 2.0) ** 2), 0.0, 5.0, 1e-6)
+    x, fx, iterations = optimize._golden(lambda t: -((t - 2.0) ** 2), 0.0, 5.0, 1e-6)
     assert abs(x - 2.0) <= 1e-6
     assert abs(fx) <= 1e-12
+    assert iterations > 0
 
 
 def test_golden_kinked_peak():
-    x, fx = golden_section_max(lambda t: 1.0 - abs(t - 2.0), -1.0, 7.0, 1e-4)
+    x, fx, _ = optimize._golden(lambda t: 1.0 - abs(t - 2.0), -1.0, 7.0, 1e-4)
     assert abs(x - 2.0) <= 1e-4
     assert fx == pytest.approx(1.0, abs=1e-4)
 
 
 def test_golden_constant_function():
-    x, fx = golden_section_max(lambda t: 3.5, 0.0, 1.0, 1e-3)
+    x, fx, _ = optimize._golden(lambda t: 3.5, 0.0, 1.0, 1e-3)
     assert 0.0 <= x <= 1.0
     assert fx == 3.5
 
 
-def test_golden_validation():
-    with pytest.raises(ValueError, match="bracket"):
-        golden_section_max(lambda t: t, 1.0, 1.0, 1e-3)
-    with pytest.raises(ValueError, match="bracket"):
-        golden_section_max(lambda t: t, 2.0, 1.0, 1e-3)
-    with pytest.raises(ValueError, match="tolerance"):
-        golden_section_max(lambda t: t, 0.0, 1.0, 0.0)
+class _TooManyCalls(Exception):
+    """Raised by a capped objective, so a search that never ends fails."""
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_golden_ends_when_float_spacing_stops_the_bracket(tol):
+    # The bracket cannot shrink below the float spacing near 2, so the search
+    # must end on that spacing when the tolerance is finer.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 10_000:
+            raise _TooManyCalls
+        return -((t - 2.0) ** 2)
+
+    x, fx, iterations = optimize._golden(f, 0.0, 5.0, tol)
+    assert abs(x - 2.0) <= 1e-7
+    assert iterations < 200
+
+
+def test_tiny_tolerance_refines_as_far_as_floats_allow(monkeypatch):
+    calls = []
+    real = optimize.cc_secrecy_capacity
+
+    def capped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1000:
+            raise _TooManyCalls
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "cc_secrecy_capacity", capped)
+    fine = find_secrecy_maximum(make_bpsk(), 5.0, SearchOptions(tol_db=1e-12))
+    tiny = find_secrecy_maximum(make_bpsk(), 5.0, SearchOptions(tol_db=1e-300))
+    assert abs(tiny.snr_max_db - fine.snr_max_db) <= 1e-9
+    assert abs(tiny.c_max - fine.c_max) <= 1e-12
+    assert fine.iterations < tiny.iterations < 200
 
 
 def test_search_options_validation():
@@ -85,6 +115,7 @@ def test_find_maximum_bpsk():
     assert result.snr_max_linear == pytest.approx(db_to_linear(result.snr_max_db))
     assert result.unimodal_ok and result.grid_local_maxima == 1
     assert result.iterations > 0
+    assert result.sigma_sq == 5.0
 
     # Local-peak property: stepping two tolerances either way cannot improve.
     rule = gauss_hermite(FAST.gh_order)
