@@ -18,7 +18,6 @@ from .capacity import (
     db_to_linear,
     gaussian_channel_capacity,
     gaussian_secrecy_capacity,
-    normalize_channel,
 )
 from .constellation import (
     Constellation,
@@ -70,7 +69,6 @@ __all__ = [
     "make_qam",
     "mc_expect_complex_gaussian",
     "min_distance",
-    "normalize_channel",
     "scan_secrecy_grid",
     "sweep_max_vs_sigma",
 ]

@@ -109,23 +109,6 @@ def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
         raise ValueError(f"{db} dB is too large: its linear ratio overflows a float") from None
 
 
-def normalize_channel(p0: float, sigma1_sq: float, sigma2_sq: float) -> WiretapChannel:
-    """Reduce (transmit power, main noise, tap noise) to the normalized pair.
-
-    Returns WiretapChannel(snr=p0/sigma1_sq, sigma_sq=sigma2_sq/sigma1_sq).
-    """
-    if sigma1_sq <= 0.0:
-        raise ValueError(f"main-channel noise variance must be positive, got {sigma1_sq}")
-    if p0 < 0.0:
-        raise ValueError(f"transmit power must be nonnegative, got {p0}")
-    if sigma2_sq < sigma1_sq:
-        raise ValueError(
-            "eavesdropper must be at least as noisy as the main channel, got "
-            f"sigma2_sq={sigma2_sq} < sigma1_sq={sigma1_sq}"
-        )
-    return WiretapChannel(p0 / sigma1_sq, sigma2_sq / sigma1_sq)
-
-
 def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One axis of the separable mixture, scaled to stay finite.
 

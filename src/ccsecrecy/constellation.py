@@ -8,6 +8,9 @@ from functools import cached_property
 
 import numpy as np
 
+# Validation builds M x M distance matrices, 16 MiB at this cap; psk20000
+# would need about 9 GiB.
+MAX_POINTS = 1024
 ENERGY_TOL = 1e-12
 DUPLICATE_TOL = 1e-12
 # A square symmetry must map every point this close to another point. Points
@@ -23,6 +26,11 @@ def _min_pairwise_distance(points: np.ndarray) -> float:
     gaps = np.abs(points[:, None] - points[None, :])
     i, j = np.triu_indices(points.size, k=1)
     return float(gaps[i, j].min())
+
+
+def _require_size(m: int) -> None:
+    if m > MAX_POINTS:
+        raise ValueError(f"a constellation has at most {MAX_POINTS} points, got {m}")
 
 
 def _require_finite(points: np.ndarray) -> None:
@@ -63,7 +71,7 @@ def _square_orbits(points: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Ordered set of M >= 2 distinct complex points with unit average energy."""
+    """Ordered set of 2 to MAX_POINTS distinct complex points of unit mean energy."""
 
     name: str
     points: np.ndarray
@@ -72,6 +80,7 @@ class Constellation:
         points = np.array(self.points, dtype=np.complex128)
         if points.ndim != 1 or points.size < 2:
             raise ValueError("a constellation needs at least 2 points")
+        _require_size(points.size)
         _require_finite(points)
         energy = float(np.mean(np.abs(points) ** 2))
         if abs(energy - 1.0) > ENERGY_TOL:
@@ -111,6 +120,7 @@ def make_psk(m: int) -> Constellation:
     """M unit-modulus points exp(i*2*pi*k/M), k = 0..M-1, in increasing angle."""
     if m < 2:
         raise ValueError(f"PSK size must be at least 2, got {m}")
+    _require_size(m)
     phases = 2.0 * np.pi * np.arange(m) / m
     return Constellation(f"psk{m}", np.exp(1j * phases))
 
@@ -128,6 +138,7 @@ def make_qam(m: int) -> Constellation:
         raise ValueError(
             f"QAM size must be a perfect square with even side, at least 4, got {m}"
         )
+    _require_size(m)
     levels = np.arange(-(side - 1), side, 2, dtype=float)
     re, im = np.meshgrid(levels, levels, indexing="ij")
     raw = (re + 1j * im).ravel()

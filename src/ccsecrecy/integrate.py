@@ -21,10 +21,9 @@ MAX_ORDER = 200
 # words, of which two are used), so advancing the counter by k blocks lands
 # exactly on sample k regardless of what was drawn before.
 _WORDS_PER_BLOCK = 4
-# Monte-Carlo samples are merged in chunks of _CHUNK and drawn and evaluated
-# in pieces of _PIECE. Both grids are fixed, so the result does not depend on
-# how many cores run the pieces.
-_CHUNK = 1 << 19
+# Monte-Carlo samples are drawn, evaluated and reduced to (count, mean, M2)
+# in pieces of _PIECE, which are merged in sample order. The grid is fixed, so
+# the result does not depend on how many cores run the pieces.
 _PIECE = 1 << 16
 
 
@@ -45,8 +44,10 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"sample count must be positive, got {self.samples}")
+        if self.samples < 2:
+            raise ValueError(
+                f"need at least 2 samples to estimate a standard error, got {self.samples}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -167,9 +168,12 @@ def mc_expect_complex_gaussian(
 ) -> tuple[float, float]:
     """Seeded Monte-Carlo estimate of E[f(N)], N ~ CN(0, variance).
 
-    The samples are drawn and evaluated in fixed pieces of _PIECE samples,
-    which a thread pool with one worker per available core runs at the same
-    time; the per-piece values are merged chunk by chunk in sample order.
+    The samples are drawn, evaluated and summed up as (count, mean, M2) in
+    fixed pieces of _PIECE samples, which a thread pool with one worker per
+    available core runs at the same time. The pieces are merged in sample
+    order by the pairwise update of Chan, Golub & LeVeque, four pieces per
+    worker at a time, so a failing piece ends the run without drawing the
+    rest of the samples.
 
     Parameters
     ----------
@@ -181,7 +185,7 @@ def mc_expect_complex_gaussian(
     variance : float
         E|N|^2, must be positive.
     cfg : MCConfig
-        Sample count (>= 2, so a standard error exists) and seed.
+        Sample count and seed.
 
     Returns
     -------
@@ -193,41 +197,36 @@ def mc_expect_complex_gaussian(
     # Imported here, so that runs without Monte-Carlo do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    if cfg.samples < 2:
-        raise ValueError("need at least 2 samples to estimate a standard error")
     stream = ComplexGaussianStream(variance, cfg)
 
-    def fill(values: np.ndarray, start: int, off: int) -> None:
-        k = min(_PIECE, values.size - off)
-        values[off:off + k] = _evaluate(f, stream.take(start + off, k))
+    def piece(start: int) -> tuple[int, float, float]:
+        values = _evaluate(f, stream.take(start, min(_PIECE, cfg.samples - start)))
+        if not np.all(np.isfinite(values)):
+            k = int(np.argwhere(~np.isfinite(values))[0][0])
+            raise ValueError(
+                f"integrand is not finite at sample {start + k}: got {values[k]}"
+            )
+        mean_b = float(values.mean())
+        # The same sum as np.sum((values - mean_b) ** 2), in one temporary.
+        dev = values - mean_b
+        dev *= dev
+        return values.size, mean_b, float(dev.sum())
 
     count = 0
     mean = 0.0
     m2 = 0.0
-    with ThreadPoolExecutor(max_workers=_cores()) as pool:
-        for start in range(0, cfg.samples, _CHUNK):
-            values = np.empty(min(_CHUNK, cfg.samples - start))
-            pieces = [
-                pool.submit(fill, values, start, off)
-                for off in range(0, values.size, _PIECE)
-            ]
-            for piece in pieces:
-                piece.result()
-            if not np.all(np.isfinite(values)):
-                k = int(np.argwhere(~np.isfinite(values))[0][0])
-                raise ValueError(
-                    f"integrand is not finite at sample {start + k}: got {values[k]}"
-                )
-            n_b = values.size
-            mean_b = float(values.mean())
-            # In place, with the same sum as np.sum((values - mean_b) ** 2).
-            values -= mean_b
-            values *= values
-            m2_b = float(values.sum())
-            delta = mean_b - mean
-            total = count + n_b
-            mean += delta * n_b / total
-            m2 += m2_b + delta * delta * count * n_b / total
-            count = total
+    workers = _cores()
+    window = 4 * workers * _PIECE
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for first in range(0, cfg.samples, window):
+            last = min(first + window, cfg.samples)
+            # map yields in submission order, and cancels the pieces not yet
+            # started when one raises.
+            for n_b, mean_b, m2_b in pool.map(piece, range(first, last, _PIECE)):
+                delta = mean_b - mean
+                total = count + n_b
+                mean += delta * n_b / total
+                m2 += m2_b + delta * delta * count * n_b / total
+                count = total
     stderr = math.sqrt(m2 / (count - 1) / count)
     return mean, stderr

@@ -21,7 +21,6 @@ from ccsecrecy import (
     make_bpsk,
     make_psk,
     make_qam,
-    normalize_channel,
 )
 from perfbench.workloads import asym_points
 
@@ -66,24 +65,6 @@ def _direct_output_entropy(points, snr, variance, order):
     return math.log2(m * math.pi * variance) - total / (m * math.log(2.0))
 
 
-def test_normalize_channel_divides_by_main_noise():
-    ch = normalize_channel(10.0, 1.0, 5.0)
-    assert ch.snr == 10.0 and ch.sigma_sq == 5.0
-    ch = normalize_channel(0.0, 1.0, 2.0)
-    assert ch.snr == 0.0 and ch.sigma_sq == 2.0
-    ch = normalize_channel(4.0, 2.0, 6.0)
-    assert ch.snr == 2.0 and ch.sigma_sq == 3.0
-
-
-def test_normalize_channel_validation():
-    with pytest.raises(ValueError, match="noise variance"):
-        normalize_channel(1.0, 0.0, 2.0)
-    with pytest.raises(ValueError, match="at least as noisy"):
-        normalize_channel(1.0, 2.0, 1.0)
-    with pytest.raises(ValueError, match="power"):
-        normalize_channel(-1.0, 1.0, 2.0)
-
-
 def test_wiretap_channel_validation():
     with pytest.raises(ValueError, match="snr"):
         WiretapChannel(-0.1, 2.0)
@@ -107,6 +88,18 @@ def test_mi_rejects_nan_rate_from_infinite_variance(rule32):
     # h(y) and the conditional entropy are both +inf, so the raw rate is NaN.
     with pytest.raises(ValueError, match="not finite"):
         cc_mutual_information(make_bpsk(), db_to_linear(5.0), math.inf, rule32)
+
+
+def test_mi_rejects_a_rate_outside_its_range_beyond_roundoff():
+    # The order-1 rule has its one node at n = 0, so at zero SNR the output
+    # entropy misses the conditional entropy's log2(e): the rate is -log2(e).
+    with pytest.raises(ValueError, match=r"-1\.44\d* outside \[0, 1\.0\] beyond roundoff"):
+        cc_mutual_information(make_bpsk(), 0.0, 1.0, gauss_hermite(1))
+
+
+def test_mc_mi_rejects_negative_snr():
+    with pytest.raises(ValueError, match="snr must be nonnegative"):
+        cc_mutual_information_mc(make_bpsk(), -0.1, 1.0, MCConfig(100, 1))
 
 
 def test_output_entropy_pure_noise(rule32, reference_constellations):
@@ -438,10 +431,11 @@ def test_mc_mi_does_not_depend_on_the_core_count(monkeypatch, samples):
 
 
 def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
-    # A 2^19-sample chunk keeps only its 4 MiB of values; each of the two
-    # workers holds one 2^16-sample piece of draws and temporaries, about
-    # 4.5 MiB. That measures about 13 MiB traced, so 20 MiB leaves a 7 MiB
-    # margin, and it fails a whole-chunk draw, which peaks at about 36 MiB.
+    # Each of the two workers holds one 2^16-sample piece of draws and
+    # temporaries, about 4.5 MiB, and hands back only three numbers; no
+    # buffer spans more than a piece. That measures about 9 to 10.3 MiB
+    # traced, so 12 MiB fails any design that also holds a 4 MiB buffer of
+    # 2^19 values (13 to 14.4 MiB) or draws them at once (about 36 MiB).
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     tracemalloc.start()
     try:
@@ -450,7 +444,7 @@ def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
     finally:
         tracemalloc.stop()
     assert 0.0 < est.bits <= 1.0
-    assert peak <= 20 * 2**20, peak
+    assert peak <= 12 * 2**20, peak
 
 
 def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):

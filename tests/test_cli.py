@@ -81,6 +81,18 @@ def test_qam0_is_a_domain_error(capsys):
     assert "at least 4" in capsys.readouterr().err
 
 
+# Each is rejected before its points or their M x M distances are built;
+# psk10000000000000 used to end in a numpy allocation error.
+@pytest.mark.parametrize("selector", ["psk1025", "qam4096", "psk10000000000000", "file"])
+def test_constellations_above_the_size_cap_are_domain_errors(selector, tmp_path, capsys):
+    if selector == "file":
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[math.cos(k), math.sin(k)] for k in range(1025)]))
+        selector = f"file:{path}"
+    assert run_cli(["constellation", "--constellation", selector]) == 2
+    assert "at most 1024 points" in capsys.readouterr().err
+
+
 def test_selector_file_rejects_booleans(tmp_path):
     path = tmp_path / "bools.json"
     path.write_text("[[true, 0], [false, 1], [0, -1]]")
@@ -603,8 +615,8 @@ def test_public_surface():
         "cc_secrecy_capacity", "db_to_linear", "expect_complex_gaussian",
         "find_secrecy_maximum", "from_points", "gauss_hermite", "gaussian_channel_capacity",
         "gaussian_secrecy_capacity", "make_bpsk", "make_psk", "make_qam",
-        "mc_expect_complex_gaussian", "min_distance", "normalize_channel",
-        "scan_secrecy_grid", "sweep_max_vs_sigma",
+        "mc_expect_complex_gaussian", "min_distance", "scan_secrecy_grid",
+        "sweep_max_vs_sigma",
     ])
     parser = cli.build_parser()
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

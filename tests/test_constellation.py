@@ -12,6 +12,7 @@ from ccsecrecy import (
     make_qam,
     min_distance,
 )
+from ccsecrecy.constellation import MAX_POINTS
 
 
 def test_bpsk_points():
@@ -74,6 +75,12 @@ def test_qam_rejects_unsupported_sizes(bad):
         make_qam(bad)
 
 
+def test_size_cap_builds_the_largest_sets():
+    for c in (make_psk(MAX_POINTS), make_qam(MAX_POINTS)):
+        assert c.size == MAX_POINTS
+        assert sum(len(orbit) for orbit in c.orbits) == MAX_POINTS
+
+
 def test_from_points_normalizes_scale():
     c = from_points([3.0, -3.0])
     assert np.allclose(c.points, [1.0, -1.0], atol=1e-15)
@@ -114,6 +121,8 @@ def test_constructors_give_unit_energy(c):
 def test_constellation_rejects_single_point():
     with pytest.raises(ValueError, match="at least 2"):
         Constellation("one", np.array([1.0 + 0.0j]))
+    with pytest.raises(ValueError, match="at least 2"):
+        from_points([])
 
 
 def test_constellation_rejects_wrong_energy():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,8 +143,9 @@ def test_mc_modulus_squared_statistics():
     assert abs(mean - 1.0) <= 4.0 * stderr
 
 
-# Sample counts around the piece (2^16) and chunk (2^19) grids, and the
-# 10^6 of the benchmark's Monte-Carlo workload.
+# Sample counts around the piece grid (2^16) and the four-pieces-per-worker
+# windows of the merge (2^19 on two workers), and the 10^6 of the
+# benchmark's Monte-Carlo workload.
 PIECE_EDGE_SAMPLES = [3, 2**16 + 3, 2**19 + 1, 10**6]
 
 
@@ -171,6 +173,32 @@ def test_mc_reports_the_first_nonfinite_sample_across_pieces():
         mc_expect_complex_gaussian(f, 1.0, cfg)
 
 
+def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
+    # At most four pieces per worker are submitted ahead of the merge. So on
+    # two workers, while a slow first piece fails, the other worker draws at
+    # most seven more pieces of the 64, however fast it runs.
+    monkeypatch.setattr(integrate, "_cores", lambda: 2)
+    cfg = MCConfig(2**22, 3)
+    first = integrate.ComplexGaussianStream(1.0, cfg).take(0, 1)[0]
+    drawn = []
+    real = integrate.ComplexGaussianStream.take
+
+    def take(self, start, count):
+        drawn.append(start)
+        return real(self, start, count)
+
+    def f(z):
+        if z[0] == first:
+            time.sleep(0.5)
+            return np.full(z.shape, np.nan)
+        return np.abs(z)
+
+    monkeypatch.setattr(integrate.ComplexGaussianStream, "take", take)
+    with pytest.raises(ValueError, match="sample 0:"):
+        mc_expect_complex_gaussian(f, 1.0, cfg)
+    assert len(drawn) <= 8, sorted(drawn)
+
+
 def test_mc_worker_exception_reaches_the_caller():
     class Boom(Exception):
         pass
@@ -187,14 +215,10 @@ def test_mc_worker_exception_reaches_the_caller():
         mc_expect_complex_gaussian(f, 1.0, cfg)
 
 
-def test_mc_needs_two_samples():
-    with pytest.raises(ValueError, match="2 samples"):
-        mc_expect_complex_gaussian(lambda z: np.abs(z), 1.0, MCConfig(1, 0))
-
-
-@pytest.mark.parametrize("samples,seed", [(0, 0), (-5, 0), (10, -1), (10, 2**64)])
+# A standard error needs two samples; MCConfig is where that is checked.
+@pytest.mark.parametrize("samples,seed", [(1, 0), (0, 0), (-5, 0), (10, -1), (10, 2**64)])
 def test_mc_config_validation(samples, seed):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 samples" if samples < 2 else "seed"):
         MCConfig(samples, seed)
 
 

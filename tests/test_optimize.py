@@ -81,6 +81,16 @@ def test_tiny_tolerance_refines_as_far_as_floats_allow(monkeypatch):
     assert fine.iterations < tiny.iterations < 200
 
 
+def test_refine_keeps_a_grid_point_above_the_refined_peak():
+    # bpsk at sigma_sq = 5 stays below 0.52 bits over [-5, 5] dB, so the
+    # golden section lands below the coarse 0.9 and the grid point is kept.
+    grid = np.array([-5.0, 0.0, 5.0])
+    values = np.array([0.1, 0.9, 0.1])
+    best = optimize._refine(make_bpsk(), 5.0, grid, values, FAST)
+    assert (best.snr_max_db, best.c_max, best.bracket) == (0.0, 0.9, (-5.0, 5.0))
+    assert best.iterations > 0
+
+
 def test_search_options_validation():
     with pytest.raises(ValueError, match="lo < hi"):
         SearchOptions(scan_lo_db=5.0, scan_hi_db=5.0)
