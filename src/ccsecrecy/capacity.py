@@ -16,6 +16,7 @@ from .constellation import Constellation
 from .integrate import (
     HermiteRule,
     MCConfig,
+    _checked,
     gauss_hermite,
     mc_expect_complex_gaussian,
 )
@@ -159,20 +160,15 @@ def cc_output_entropy(
     only one point per orbit of the constellation (Constellation.orbits) is
     evaluated, weighted by the orbit's size.
 
-    snr and variance may be floats or arrays that broadcast together; the
-    result has their broadcast shape, and is a float when both are floats.
+    snr (finite, at least 0) and variance (finite, above 0) may be floats or
+    arrays that broadcast together; the result has their broadcast shape,
+    and is a float when both are floats.
     The kernel runs over rows of (channel, orbit) pairs, a block of rows at a
     time, and a channel's value does not depend on the other channels, so an
     array gives the values of one call per element.
     """
-    snr = np.asarray(snr, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    bad = _first(snr, snr < 0.0)
-    if bad is not None:
-        raise ValueError(f"snr must be nonnegative, got {bad}")
-    bad = _first(variance, variance <= 0.0)
-    if bad is not None:
-        raise ValueError(f"noise variance must be positive, got {bad}")
+    snr = _checked("snr", snr, zero_ok=True)
+    variance = _checked("noise variance", variance)
     t, w = rule.nodes, rule.weights
     points = c.points
     orbits = c.orbits
@@ -242,10 +238,7 @@ def _clamp_bits(raw, upper: float, *, strict: bool):
 def _raw_mi(c: Constellation, snr, variance, rule: HermiteRule) -> np.ndarray:
     """Output entropy minus the conditional entropy log2(pi * e * variance)."""
     h = np.asarray(cc_output_entropy(c, snr, variance, rule))
-    # At infinite variance both entropies are +inf; the NaN left here is
-    # rejected by _clamp_bits.
-    with np.errstate(invalid="ignore"):
-        return h - np.log2(math.pi * math.e * np.asarray(variance, dtype=float))
+    return h - np.log2(math.pi * math.e * np.asarray(variance, dtype=float))
 
 
 def cc_mutual_information(
@@ -286,8 +279,8 @@ def cc_mutual_information_mc(
     sample at least), so the kernel's buffers do not grow with the sample
     count.
     """
-    if snr < 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
+    snr = float(_checked("snr", snr, zero_ok=True))
+    variance = float(_checked("noise variance", variance))
     m = c.size
     # Exponents are taken relative to the j = i term:
     #   -|n + d_ij|^2 / v = -|n|^2 / v - (2 Re(n conj d_ij) + |d_ij|^2) / v
@@ -361,9 +354,7 @@ def cc_secrecy_capacity(
 
 def gaussian_channel_capacity(snr: float) -> float:
     """Shannon capacity log2(1 + snr) of the complex-AWGN channel."""
-    if snr < 0.0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
-    return math.log2(1.0 + snr)
+    return math.log2(1.0 + float(_checked("snr", snr, zero_ok=True)))
 
 
 def gaussian_secrecy_capacity(ch: WiretapChannel) -> float | np.ndarray:

@@ -102,14 +102,11 @@ def _numbers(parts, flag: str, text: str, expected: str) -> tuple[float, ...]:
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, float, float]:
-    """Parse '<start>:<stop>:<step>' with finite values, start < stop, step > 0."""
+    """Parse '<start>:<stop>:<step>' as three finite values; the grid checks their order."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"{flag}: expected start:stop:step, got {text!r}")
-    lo, hi, step = _numbers(parts, flag, text, "numeric start:stop:step")
-    if step <= 0.0 or hi <= lo:
-        raise UsageError(f"{flag}: need start < stop and step > 0, got {text!r}")
-    return lo, hi, step
+    return _numbers(parts, flag, text, "numeric start:stop:step")
 
 
 def _as_usage(flag: str, fn, *args):
@@ -168,46 +165,41 @@ def _emit(ns, columns, rows, digits: int = 9, **meta) -> int:
 
 
 def _cmd_rates(ns) -> int:
-    """mi and sweep: rate rows over the SNR grid for each noise ratio."""
+    """mi and sweep: rate rows from one table of MI per distinct noise variance and SNR."""
     snr_db = _parse_grid(ns.snr_db, "--snr-db")
-    # The largest dB value must have a linear ratio.
-    _as_usage("--snr-db", db_to_linear, max(snr_db))
+    snr = _as_usage("--snr-db", db_to_linear, snr_db).tolist()
     sigmas = _parse_sigma_list(ns.sigma2)
     c = parse_constellation_selector(ns.constellation)
-    snr = db_to_linear(snr_db).tolist()
-    mc = ns.mc_samples
-    if mc is None:
+    # The channel rejects a ratio below 1 before any rate is computed.
+    gc = gaussian_secrecy_capacity(WiretapChannel(snr, np.array(sigmas)[:, None])).tolist()
+    variances = list(dict.fromkeys((1.0, *sigmas)))
+    if ns.mc_samples is None:
         rule = gauss_hermite(ns.gh_order)
-
-        def curve(variance: float) -> list[float]:
-            return cc_mutual_information(c, snr, variance, rule).bits.tolist()
+        table = cc_mutual_information(c, snr, np.array(variances)[:, None], rule).bits.tolist()
+        meta = {"method": "gauss_hermite", "gh_order": ns.gh_order, "mc_samples": None,
+                "seed": None}
     else:
-        cfg = MCConfig(mc, ns.seed)
-
-        def curve(variance: float) -> list[float]:
-            return [cc_mutual_information_mc(c, s, variance, cfg).bits for s in snr]
-
-    main = curve(1.0)
-    columns = []
-    for sigma_sq in sigmas:
-        gc = gaussian_secrecy_capacity(WiretapChannel(np.array(snr), sigma_sq)).tolist()
-        columns.append((sigma_sq, main if sigma_sq == 1.0 else curve(sigma_sq), gc))
+        cfg = MCConfig(ns.mc_samples, ns.seed)
+        table = [[cc_mutual_information_mc(c, s, v, cfg).bits for s in snr] for v in variances]
+        meta = {"method": "monte_carlo", "gh_order": None, "mc_samples": ns.mc_samples,
+                "seed": ns.seed}
+    main = table[0]
+    eves = [table[variances.index(sigma_sq)] for sigma_sq in sigmas]
+    caps = [gaussian_channel_capacity(s) for s in snr]
     rows = [
         dict(zip(RATE_COLUMNS, (c.name, db, sigma_sq, main[k], eve[k],
-                                max(0.0, main[k] - eve[k]), gc[k],
-                                gaussian_channel_capacity(snr[k]))))
-        for k, db in enumerate(snr_db) for sigma_sq, eve, gc in columns
+                                max(0.0, main[k] - eve[k]), gc_row[k], caps[k])))
+        for k, db in enumerate(snr_db)
+        for sigma_sq, eve, gc_row in zip(sigmas, eves, gc)
     ]
-    return _emit(ns, RATE_COLUMNS, rows, method="gauss_hermite" if mc is None else "monte_carlo",
-                 gh_order=ns.gh_order if mc is None else None, mc_samples=mc,
-                 seed=None if mc is None else ns.seed)
+    return _emit(ns, RATE_COLUMNS, rows, **meta)
 
 
 def _cmd_peaks(ns) -> int:
     """maximize and max-sweep: the refined peak for each noise ratio."""
     lo, hi, step = _parse_range(ns.scan_db, "--scan-db")
     # argparse has checked --tol-db and --gh-order, so SearchOptions can only
-    # reject the scan grid: too many points, or a top value that overflows.
+    # reject the scan grid: its order, its size, or a top value that overflows.
     opts = _as_usage("--scan-db", SearchOptions, lo, hi, step, ns.tol_db, ns.gh_order)
     sigmas = _parse_sigma_list(ns.sigma2)
     if ns.command == "maximize" and len(sigmas) != 1:

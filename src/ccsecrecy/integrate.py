@@ -52,6 +52,23 @@ class MCConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
+def _checked(name: str, values, *, zero_ok: bool = False) -> np.ndarray:
+    """The values as a float array, checked where they enter the library.
+
+    Raises ValueError naming the first value that is not finite or is below
+    zero (or at zero, unless zero_ok).
+    """
+    values = np.asarray(values, dtype=float)
+    ok = values >= 0.0 if zero_ok else values > 0.0
+    ok &= values < math.inf
+    if np.count_nonzero(ok) != ok.size:
+        bad = float(values[~ok].flat[0])
+        what = ("is not finite" if not math.isfinite(bad)
+                else "must be nonnegative" if zero_ok else "must be positive")
+        raise ValueError(f"{name} {what}, got {bad}")
+    return values
+
+
 def gauss_hermite(n: int) -> HermiteRule:
     """Compute the order-n Gauss-Hermite quadrature rule.
 
@@ -103,15 +120,14 @@ def expect_complex_gaussian(f: Callable, variance: float, rule: HermiteRule) -> 
         Real-valued function of one complex argument, vectorised: a complex
         ndarray in, a float ndarray of the same shape out.
     variance : float
-        E|N|^2, must be positive.
+        E|N|^2, must be positive and finite.
     rule : HermiteRule
 
     Returns
     -------
     float
     """
-    if variance <= 0.0:
-        raise ValueError(f"noise variance must be positive, got {variance}")
+    _checked("noise variance", variance)
     t = rule.nodes
     z = math.sqrt(variance) * (t[:, None] + 1j * t[None, :])
     values = _evaluate(f, z)
@@ -139,9 +155,7 @@ class ComplexGaussianStream:
     """
 
     def __init__(self, variance: float, cfg: MCConfig):
-        if variance <= 0.0:
-            raise ValueError(f"noise variance must be positive, got {variance}")
-        self.variance = float(variance)
+        self.variance = float(_checked("noise variance", variance))
         self.cfg = cfg
 
     def take(self, start: int, count: int) -> np.ndarray:
@@ -183,7 +197,7 @@ def mc_expect_complex_gaussian(
         threads, on disjoint pieces of the sample stream, so it must be
         thread-safe.
     variance : float
-        E|N|^2, must be positive.
+        E|N|^2, must be positive and finite.
     cfg : MCConfig
         Sample count and seed.
 

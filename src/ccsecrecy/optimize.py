@@ -50,10 +50,6 @@ class SearchOptions:
         for name in ("scan_lo_db", "scan_hi_db", "scan_step_db", "tol_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.scan_lo_db >= self.scan_hi_db:
-            raise ValueError("scan window must satisfy lo < hi")
-        if self.scan_step_db <= 0.0:
-            raise ValueError(f"scan step must be positive, got {self.scan_step_db}")
         if self.tol_db <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol_db}")
         count = _grid_count(self.scan_lo_db, self.scan_hi_db, self.scan_step_db)
@@ -104,6 +100,8 @@ def _golden(f: Callable[[float], float], lo: float, hi: float, tol: float):
 
 
 def _grid_count(start: float, stop: float, step: float) -> int:
+    if not (start < stop and step > 0.0):
+        raise ValueError(f"grid needs lo < hi and step > 0, got {start}:{stop}:{step}")
     count = (stop - start) / step + GRID_EDGE_TOL
     # Written so that an infinite or NaN count is rejected too.
     if not count < MAX_GRID_POINTS:
@@ -117,7 +115,8 @@ def grid_points(start: float, stop: float, step: float) -> np.ndarray:
     """The grid start, start + step, ... up to stop.
 
     stop is included when it lands on a step multiple (within GRID_EDGE_TOL
-    steps). Raises ValueError for a grid of more than MAX_GRID_POINTS points.
+    steps). Raises ValueError unless start < stop and step > 0, and for a
+    grid of more than MAX_GRID_POINTS points.
     """
     return start + step * np.arange(_grid_count(start, stop, step))
 

@@ -85,7 +85,8 @@ def test_clamp_rejects_nonfinite_rates(strict):
 
 
 def test_mi_rejects_nan_rate_from_infinite_variance(rule32):
-    # h(y) and the conditional entropy are both +inf, so the raw rate is NaN.
+    # h(y) and the conditional entropy would both be +inf, and the raw rate
+    # NaN; the output entropy rejects the variance where it enters.
     with pytest.raises(ValueError, match="not finite"):
         cc_mutual_information(make_bpsk(), db_to_linear(5.0), math.inf, rule32)
 
@@ -100,6 +101,27 @@ def test_mi_rejects_a_rate_outside_its_range_beyond_roundoff():
 def test_mc_mi_rejects_negative_snr():
     with pytest.raises(ValueError, match="snr must be nonnegative"):
         cc_mutual_information_mc(make_bpsk(), -0.1, 1.0, MCConfig(100, 1))
+
+
+# Non-finite inputs are rejected where they enter, before numpy warns about
+# an invalid value (the suite turns warnings into errors) or the kernel
+# reports a non-finite integrand.
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_rates_reject_nonfinite_snr_and_variance(bad, rule32):
+    c = make_bpsk()
+    cfg = MCConfig(100, 1)
+    for snr, variance, name in ((bad, 1.0, "snr"), (1.0, bad, "noise variance")):
+        for rate in (lambda: cc_mutual_information(c, snr, variance, rule32),
+                     lambda: cc_mutual_information_mc(c, snr, variance, cfg)):
+            with pytest.raises(ValueError, match=f"^{name} is not finite, got {bad}$"):
+                rate()
+    with pytest.raises(ValueError, match=f"^snr is not finite, got {bad}$"):
+        gaussian_channel_capacity(bad)
+
+
+def test_mc_mi_rejects_nonpositive_variance():
+    with pytest.raises(ValueError, match="noise variance must be positive, got 0.0"):
+        cc_mutual_information_mc(make_bpsk(), 1.0, 0.0, MCConfig(100, 1))
 
 
 def test_output_entropy_pure_noise(rule32, reference_constellations):
@@ -331,7 +353,6 @@ def test_output_entropy_finite_at_max_order_and_high_snr():
         assert abs(est.bits - 6.0) <= 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_output_entropy_rejects_nonfinite_snr(rule32):
     for snr in (math.inf, math.nan):
         with pytest.raises(ValueError, match="not finite"):

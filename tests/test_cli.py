@@ -575,6 +575,58 @@ def test_first_capacity_work_goes_through_a_benchmark_entry_point(args, monkeypa
     assert {"c", "snr", "variance", "rule"} <= set(names)
 
 
+def _count_rate_calls(monkeypatch) -> dict:
+    """Count the CLI's mutual-information calls of each kind, passing them on."""
+    calls = {}
+    for name in ("cc_mutual_information", "cc_mutual_information_mc"):
+        real = getattr(cli, name)
+
+        def spy(*a, name=name, real=real, **k):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*a, **k)
+
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+# One (variance x SNR) table serves every rate row: quadrature fills it in one
+# call, Monte-Carlo in one call per distinct variance and SNR, so a repeated
+# --sigma2 value or a ratio of 1 costs nothing more.
+@pytest.mark.parametrize(
+    "args, want_calls, want_rows",
+    [
+        (["mi", "--constellation", "qam4", "--snr-db", "0:20:10"],
+         {"cc_mutual_information": 1}, 3),
+        (["sweep", "--constellation", "qam4", "--snr-db", "0:20:10", "--sigma2", "1,5,5,20"],
+         {"cc_mutual_information": 1}, 12),
+        (["sweep", "--constellation", "bpsk", "--snr-db", "0:5:5", "--sigma2", "1,5,5",
+          "--mc-samples", "1000"], {"cc_mutual_information_mc": 4}, 6),
+    ],
+    ids=["mi-gh", "sweep-gh", "sweep-mc"],
+)
+def test_rate_commands_compute_each_distinct_channel_once(
+    args, want_calls, want_rows, monkeypatch, tmp_path
+):
+    calls = _count_rate_calls(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert calls == want_calls
+    _, rows = _read_rows(out)
+    assert len(rows) == want_rows
+
+
+@pytest.mark.parametrize("mc", [[], ["--mc-samples", "1000"]], ids=["gh", "mc"])
+def test_sigma2_below_one_is_rejected_before_any_rate(mc, monkeypatch, capsys):
+    calls = _count_rate_calls(monkeypatch)
+    args = ["sweep", "--constellation", "bpsk", "--snr-db", "0:20:10", "--sigma2", "5,0.5"]
+    assert run_cli(args + mc) == 2
+    assert capsys.readouterr().err == (
+        "error: eavesdropper noise ratio must be at least 1 "
+        "(main channel no noisier than the tap), got 0.5\n"
+    )
+    assert calls == {}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "args",

@@ -104,6 +104,16 @@ def test_expect_rejects_nonpositive_variance(rule32):
             expect_complex_gaussian(lambda z: np.abs(z), bad, rule32)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_integrators_reject_nonfinite_variance(bad, rule32):
+    cfg = MCConfig(100, 1)
+    for start in (lambda: expect_complex_gaussian(np.abs, bad, rule32),
+                  lambda: mc_expect_complex_gaussian(np.abs, bad, cfg),
+                  lambda: integrate.ComplexGaussianStream(bad, cfg)):
+        with pytest.raises(ValueError, match=f"^noise variance is not finite, got {bad}$"):
+            start()
+
+
 def test_expect_reports_nonfinite_node(rule32):
     def blows_up(z):
         out = np.ones_like(z, dtype=float)

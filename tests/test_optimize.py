@@ -217,6 +217,12 @@ def test_grid_points():
     assert optimize.grid_points(-30.0, 50.0, 0.5).size == 161
     with pytest.raises(ValueError, match="more than"):
         optimize.grid_points(0.0, 1.0, 1e-7)
+    # An empty or reversed window and a step that is not positive are
+    # rejected rather than giving an empty grid or dividing by zero.
+    for start, stop, step in ((5.0, 1.0, 1.0), (1.0, 1.0, 1.0), (0.0, 1.0, -1.0),
+                              (0.0, 1.0, 0.0)):
+        with pytest.raises(ValueError, match=r"lo < hi and step > 0"):
+            optimize.grid_points(start, stop, step)
 
 
 def test_scan_with_a_column_of_noise_ratios_matches_single_scans():
