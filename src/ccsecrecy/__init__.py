@@ -31,7 +31,6 @@ from .constellation import (
 from .integrate import (
     HermiteRule,
     MCConfig,
-    expect_complex_gaussian,
     gauss_hermite,
     mc_expect_complex_gaussian,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "cc_output_entropy",
     "cc_secrecy_capacity",
     "db_to_linear",
-    "expect_complex_gaussian",
     "find_secrecy_maximum",
     "from_points",
     "gauss_hermite",

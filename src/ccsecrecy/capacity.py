@@ -17,6 +17,7 @@ from .integrate import (
     HermiteRule,
     MCConfig,
     _checked,
+    _checked_channel,
     gauss_hermite,
     mc_expect_complex_gaussian,
 )
@@ -65,20 +66,15 @@ class WiretapChannel:
     sigma_sq: float | np.ndarray
 
     def __post_init__(self):
-        snr = np.asarray(self.snr, dtype=float)
+        _checked("snr", self.snr, zero_ok=True)
         sigma_sq = np.asarray(self.sigma_sq, dtype=float)
-        bad = _first(snr, ~((snr >= 0.0) & (snr < math.inf)))
-        if bad is not None:
-            raise ValueError(f"snr must be finite and nonnegative, got {bad}")
-        bad = _first(sigma_sq, ~np.isfinite(sigma_sq))
-        if bad is not None:
-            raise ValueError(f"eavesdropper noise ratio must be finite, got {bad}")
         bad = _first(sigma_sq, sigma_sq < 1.0)
         if bad is not None:
             raise ValueError(
                 "eavesdropper noise ratio must be at least 1 "
                 f"(main channel no noisier than the tap), got {bad}"
             )
+        _checked("eavesdropper noise ratio", sigma_sq)
 
 
 @dataclass(frozen=True)
@@ -160,15 +156,14 @@ def cc_output_entropy(
     only one point per orbit of the constellation (Constellation.orbits) is
     evaluated, weighted by the orbit's size.
 
-    snr (finite, at least 0) and variance (finite, above 0) may be floats or
-    arrays that broadcast together; the result has their broadcast shape,
-    and is a float when both are floats.
+    snr in [0, 1e300] and variance in [1e-300, 1e300], with snr / variance
+    <= 1e300, may be floats or arrays that broadcast together; the result
+    has their broadcast shape, and is a float when both are floats.
     The kernel runs over rows of (channel, orbit) pairs, a block of rows at a
     time, and a channel's value does not depend on the other channels, so an
     array gives the values of one call per element.
     """
-    snr = _checked("snr", snr, zero_ok=True)
-    variance = _checked("noise variance", variance)
+    snr, variance = _checked_channel(snr, variance)
     t, w = rule.nodes, rule.weights
     points = c.points
     orbits = c.orbits
@@ -199,15 +194,6 @@ def cc_output_entropy(
             per_row = _row_sums(t, w, wsum, offsets).reshape(len(channels), -1)
             totals[lo:lo + per_block] += (per_row * sizes[first:first + span]).sum(axis=-1)
     totals -= 2.0 * c.size * wsum * float(w @ (t * t))
-    bad = ~np.isfinite(totals)
-    if np.count_nonzero(bad):
-        k = int(np.flatnonzero(bad)[0])
-        at_snr = float(np.broadcast_to(snr, shape).flat[k])
-        at_variance = float(np.broadcast_to(variance, shape).flat[k])
-        raise ValueError(
-            f"integrand is not finite at snr={at_snr!r}, variance={at_variance!r}: "
-            f"got {totals[k]}"
-        )
     return _shaped(
         math.log2(c.size) + np.log2(math.pi * variance)
         - totals.reshape(shape) / (math.pi * LN2 * c.size)
@@ -279,8 +265,7 @@ def cc_mutual_information_mc(
     sample at least), so the kernel's buffers do not grow with the sample
     count.
     """
-    snr = float(_checked("snr", snr, zero_ok=True))
-    variance = float(_checked("noise variance", variance))
+    snr, variance = map(float, _checked_channel(snr, variance))
     m = c.size
     # Exponents are taken relative to the j = i term:
     #   -|n + d_ij|^2 / v = -|n|^2 / v - (2 Re(n conj d_ij) + |d_ij|^2) / v

@@ -153,10 +153,15 @@ def from_points(raw, name: str = "custom") -> Constellation:
     if the set has zero total energy, or if two points coincide after
     normalization.
     """
-    points = np.asarray(raw, dtype=np.complex128)
+    points = np.array(raw, dtype=np.complex128)
     if points.ndim != 1 or points.size < 2:
         raise ValueError("a constellation needs at least 2 points")
     _require_finite(points)
+    # An exact scale of the copy by 2^-k puts the largest |re| or |im| in
+    # [0.5, 1), so the energy cannot overflow or underflow; ldexp takes k = 1024.
+    parts = points.view(np.float64)
+    _, k = math.frexp(float(np.abs(parts).max()))
+    np.ldexp(parts, -k, out=parts)
     energy = float(np.mean(np.abs(points) ** 2))
     if energy <= 0.0:
         raise ValueError("degenerate constellation: total energy is zero")

@@ -1,9 +1,9 @@
-"""Gauss-Hermite quadrature and seeded Monte Carlo for complex-Gaussian expectations.
+"""Gauss-Hermite rules and seeded Monte Carlo for complex-Gaussian expectations.
 
-Both paths estimate E[f(N)] for N circularly symmetric complex Gaussian with
-mean zero: the quadrature path is deterministic and spectrally accurate for
-smooth integrands, the Monte-Carlo path is a reproducible cross-check that
-also reports a standard error.
+gauss_hermite gives the per-axis rule that capacity.cc_output_entropy applies
+on its separable tensor grid. mc_expect_complex_gaussian estimates E[f(N)] for
+N circularly symmetric complex Gaussian with mean zero from a seekable sample
+stream: a reproducible cross-check that also reports a standard error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ _WORDS_PER_BLOCK = 4
 # in pieces of _PIECE, which are merged in sample order. The grid is fixed, so
 # the result does not depend on how many cores run the pieces.
 _PIECE = 1 << 16
+# The largest snr, noise variance and snr / variance, and the inverse of the
+# smallest noise variance, the library takes. With unit mean energy every
+# |x_i - x_j|^2 <= 4M <= 4096, so no squared offset exceeds 4.1e303.
+MAX_SCALE = 1e300
 
 
 @dataclass(frozen=True)
@@ -55,18 +59,38 @@ class MCConfig:
 def _checked(name: str, values, *, zero_ok: bool = False) -> np.ndarray:
     """The values as a float array, checked where they enter the library.
 
-    Raises ValueError naming the first value that is not finite or is below
-    zero (or at zero, unless zero_ok).
+    Raises ValueError naming the first value that is not finite or is above
+    MAX_SCALE, or is below zero if zero_ok, else below 1 / MAX_SCALE.
     """
     values = np.asarray(values, dtype=float)
-    ok = values >= 0.0 if zero_ok else values > 0.0
-    ok &= values < math.inf
+    ok = values >= (0.0 if zero_ok else 1.0 / MAX_SCALE)
+    ok &= values <= MAX_SCALE
     if np.count_nonzero(ok) != ok.size:
         bad = float(values[~ok].flat[0])
         what = ("is not finite" if not math.isfinite(bad)
-                else "must be nonnegative" if zero_ok else "must be positive")
+                else f"must be at most {MAX_SCALE:g}" if bad > MAX_SCALE
+                else "must be nonnegative" if zero_ok
+                else "must be positive" if bad <= 0.0
+                else f"must be at least {1.0 / MAX_SCALE:g}")
         raise ValueError(f"{name} {what}, got {bad}")
     return values
+
+
+def _checked_channel(snr, variance) -> tuple[np.ndarray, np.ndarray]:
+    """snr and noise variance as _checked takes them, with snr / variance <= MAX_SCALE.
+
+    The ratio is tested as snr / MAX_SCALE <= variance, which cannot overflow.
+    """
+    snr = _checked("snr", snr, zero_ok=True)
+    variance = _checked("noise variance", variance)
+    over = snr / MAX_SCALE > variance
+    if np.count_nonzero(over):
+        pair = np.broadcast_arrays(snr, variance)
+        bad_snr, bad_variance = (float(a[over].flat[0]) for a in pair)
+        raise ValueError(
+            f"snr / noise variance must be at most {MAX_SCALE:g}, got {bad_snr} / {bad_variance}"
+        )
+    return snr, variance
 
 
 def gauss_hermite(n: int) -> HermiteRule:
@@ -91,53 +115,6 @@ def gauss_hermite(n: int) -> HermiteRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return HermiteRule(n, nodes, weights)
-
-
-def _evaluate(f: Callable, z: np.ndarray) -> np.ndarray:
-    """Apply a vectorised f to a complex array; it must keep the array's shape."""
-    values = np.asarray(f(z), dtype=float)
-    if values.shape != z.shape:
-        raise ValueError(
-            f"integrand must return an array of shape {z.shape}, got shape {values.shape}"
-        )
-    return values
-
-
-def expect_complex_gaussian(f: Callable, variance: float, rule: HermiteRule) -> float:
-    """Tensor-product Gauss-Hermite approximation of E[f(N)], N ~ CN(0, variance).
-
-    Writes N = sqrt(variance) * (t_a + i t_b) and applies the rule once per
-    real axis:
-
-        E[f(N)] ~= (1/pi) * sum_ab w_a w_b f(sqrt(variance) * (t_a + i t_b))
-
-    The result is exact whenever f is a polynomial of per-axis degree
-    <= 2n - 1 in (Re N, Im N).
-
-    Parameters
-    ----------
-    f : callable
-        Real-valued function of one complex argument, vectorised: a complex
-        ndarray in, a float ndarray of the same shape out.
-    variance : float
-        E|N|^2, must be positive and finite.
-    rule : HermiteRule
-
-    Returns
-    -------
-    float
-    """
-    _checked("noise variance", variance)
-    t = rule.nodes
-    z = math.sqrt(variance) * (t[:, None] + 1j * t[None, :])
-    values = _evaluate(f, z)
-    if not np.all(np.isfinite(values)):
-        a, b = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(
-            f"integrand is not finite at node {z[a, b]}: got {values[a, b]}"
-        )
-    w = rule.weights
-    return float((w[:, None] * w[None, :] * values).sum() / math.pi)
 
 
 class ComplexGaussianStream:
@@ -192,12 +169,12 @@ def mc_expect_complex_gaussian(
     Parameters
     ----------
     f : callable
-        Real-valued function of one complex argument, vectorised as for
-        expect_complex_gaussian. It is called at the same time from several
-        threads, on disjoint pieces of the sample stream, so it must be
-        thread-safe.
+        Real-valued function of one complex argument, vectorised: a complex
+        ndarray of samples in, a float ndarray of the same shape out. It is
+        called at the same time from several threads, on disjoint pieces of
+        the sample stream, so it must be thread-safe.
     variance : float
-        E|N|^2, must be positive and finite.
+        E|N|^2, in [1e-300, 1e300].
     cfg : MCConfig
         Sample count and seed.
 
@@ -214,7 +191,12 @@ def mc_expect_complex_gaussian(
     stream = ComplexGaussianStream(variance, cfg)
 
     def piece(start: int) -> tuple[int, float, float]:
-        values = _evaluate(f, stream.take(start, min(_PIECE, cfg.samples - start)))
+        z = stream.take(start, min(_PIECE, cfg.samples - start))
+        values = np.asarray(f(z), dtype=float)
+        if values.shape != z.shape:
+            raise ValueError(
+                f"integrand must return an array of shape {z.shape}, got shape {values.shape}"
+            )
         if not np.all(np.isfinite(values)):
             k = int(np.argwhere(~np.isfinite(values))[0][0])
             raise ValueError(

@@ -52,9 +52,8 @@ class SearchOptions:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tol_db <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol_db}")
-        count = _grid_count(self.scan_lo_db, self.scan_hi_db, self.scan_step_db)
-        # The top grid point, as grid_points computes it, must have a linear value.
-        db_to_linear(self.scan_lo_db + self.scan_step_db * (count - 1))
+        # The top grid point must have a linear value.
+        db_to_linear(grid_points(self.scan_lo_db, self.scan_hi_db, self.scan_step_db)[-1])
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,13 @@ def _golden(f: Callable[[float], float], lo: float, hi: float, tol: float):
     return x, f(x), iterations
 
 
-def _grid_count(start: float, stop: float, step: float) -> int:
+def grid_points(start: float, stop: float, step: float) -> np.ndarray:
+    """The grid start, start + step, ... up to stop.
+
+    stop is included when it lands on a step multiple (within GRID_EDGE_TOL
+    steps). Raises ValueError unless start < stop and step > 0, and for a
+    grid of more than MAX_GRID_POINTS points.
+    """
     if not (start < stop and step > 0.0):
         raise ValueError(f"grid needs lo < hi and step > 0, got {start}:{stop}:{step}")
     count = (stop - start) / step + GRID_EDGE_TOL
@@ -108,17 +113,7 @@ def _grid_count(start: float, stop: float, step: float) -> int:
         raise ValueError(
             f"grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points"
         )
-    return math.floor(count) + 1
-
-
-def grid_points(start: float, stop: float, step: float) -> np.ndarray:
-    """The grid start, start + step, ... up to stop.
-
-    stop is included when it lands on a step multiple (within GRID_EDGE_TOL
-    steps). Raises ValueError unless start < stop and step > 0, and for a
-    grid of more than MAX_GRID_POINTS points.
-    """
-    return start + step * np.arange(_grid_count(start, stop, step))
+    return start + step * np.arange(math.floor(count) + 1)
 
 
 def scan_secrecy_grid(

@@ -71,9 +71,9 @@ def test_wiretap_channel_validation():
     with pytest.raises(ValueError, match="noise ratio"):
         WiretapChannel(1.0, 0.5)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="snr must be finite"):
+        with pytest.raises(ValueError, match=f"^snr is not finite, got {bad}$"):
             WiretapChannel(bad, 2.0)
-        with pytest.raises(ValueError, match="noise ratio must be finite"):
+        with pytest.raises(ValueError, match=f"^eavesdropper noise ratio is not finite, got {bad}$"):
             WiretapChannel(1.0, bad)
 
 
@@ -117,6 +117,55 @@ def test_rates_reject_nonfinite_snr_and_variance(bad, rule32):
                 rate()
     with pytest.raises(ValueError, match=f"^snr is not finite, got {bad}$"):
         gaussian_channel_capacity(bad)
+
+
+# Finite but extreme inputs are rejected where they enter too: an snr or
+# noise variance above 1e300 would overflow pi * variance or the squared
+# offsets, one below 1e-300 is subnormal or overflows the offsets, and so
+# does an snr / variance above 1e300.
+@pytest.mark.parametrize(
+    "snr, variance, message",
+    [
+        (db_to_linear(5.0), 1e308, r"noise variance must be at most 1e\+300, got 1e\+308"),
+        (db_to_linear(3080.0), 1.0, r"snr must be at most 1e\+300, got 1e\+308"),
+        (1.0, 1e-310, "noise variance must be at least 1e-300, got 1e-310"),
+        (1e300, 1e-10, r"snr / noise variance must be at most 1e\+300, got 1e\+300 / 1e-10"),
+    ],
+    ids=["variance-1e308", "snr-3080dB", "variance-1e-310", "ratio-1e310"],
+)
+def test_rates_reject_extreme_snr_and_variance(snr, variance, message, rule32):
+    c = make_bpsk()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cc_mutual_information(c, snr, variance, rule32)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cc_mutual_information_mc(c, snr, variance, MCConfig(100, 1))
+
+
+def test_channel_and_gaussian_capacity_reject_extreme_values():
+    with pytest.raises(ValueError, match=r"^snr must be at most 1e\+300, got 1e\+301$"):
+        WiretapChannel(1e301, 2.0)
+    with pytest.raises(
+        ValueError, match=r"^eavesdropper noise ratio must be at most 1e\+300, got 1e\+308$"
+    ):
+        WiretapChannel(1.0, np.array([5.0, 1e308]))
+    with pytest.raises(ValueError, match=r"^snr must be at most 1e\+300, got 1e\+301$"):
+        gaussian_channel_capacity(1e301)
+
+
+def test_rates_at_the_extreme_limits_compute(rule32):
+    c = make_bpsk()
+    cfg = MCConfig(1000, 1)
+    snr = db_to_linear(3000.0)
+    assert snr == 1e300
+    assert cc_mutual_information(c, snr, 1.0, rule32).bits == 1.0
+    assert cc_mutual_information_mc(c, snr, 1.0, cfg).bits <= 1.0
+    # The largest offsets a constellation can have: qam1024's corners.
+    assert cc_mutual_information(make_qam(1024), snr, 1.0, gauss_hermite(4)).bits == 10.0
+    for snr, variance in ((1e300, 1e300), (1.0, 1e-300), (1e-290, 1e-300)):
+        bits = cc_mutual_information(c, snr, variance, rule32).bits
+        assert 0.0 <= bits <= 1.0
+        assert 0.0 <= cc_mutual_information_mc(c, snr, variance, cfg).bits <= 1.0
+    assert gaussian_secrecy_capacity(WiretapChannel(1e300, 1e300)) >= 0.0
 
 
 def test_mc_mi_rejects_nonpositive_variance():
@@ -557,8 +606,10 @@ def test_array_validation_names_the_bad_value(rule32):
         cc_output_entropy(c, np.array([1.0, -2.0, -3.0]), 1.0, rule32)
     with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
         cc_output_entropy(c, 1.0, np.array([1.0, 0.0]), rule32)
-    with pytest.raises(ValueError, match="snr must be finite and nonnegative, got inf"):
+    with pytest.raises(ValueError, match="snr is not finite, got inf"):
         WiretapChannel(np.array([1.0, math.inf]), 2.0)
+    with pytest.raises(ValueError, match=r"snr / noise variance must be at most 1e\+300, got 1e\+300 / 1e-10"):
+        cc_output_entropy(c, 1e300, np.array([1.0, 1e-10]), rule32)
     with pytest.raises(ValueError, match="at least 1 .* got 0.5"):
         WiretapChannel(1.0, np.array([[2.0], [0.5]]))
 

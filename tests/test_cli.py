@@ -93,6 +93,16 @@ def test_constellations_above_the_size_cap_are_domain_errors(selector, tmp_path,
     assert "at most 1024 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_selector_file_at_extreme_scales(scale, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps([[scale, 0.0], [-scale, 0.0]]))
+    assert run_cli(["constellation", "--constellation", f"file:{path}"]) == 0
+    assert run_cli(["constellation", "--constellation", "bpsk"]) == 0
+    pair, bpsk = capsys.readouterr().out.split(POINTS_CSV_HEADER)[1:]
+    assert pair == bpsk
+
+
 def test_selector_file_rejects_booleans(tmp_path):
     path = tmp_path / "bools.json"
     path.write_text("[[true, 0], [false, 1], [0, -1]]")
@@ -664,7 +674,7 @@ def test_public_surface():
         "__version__", "Constellation", "HermiteRule", "MCConfig", "MIEstimate",
         "MaximumResult", "SearchOptions", "WiretapChannel", "average_energy",
         "cc_mutual_information", "cc_mutual_information_mc", "cc_output_entropy",
-        "cc_secrecy_capacity", "db_to_linear", "expect_complex_gaussian",
+        "cc_secrecy_capacity", "db_to_linear",
         "find_secrecy_maximum", "from_points", "gauss_hermite", "gaussian_channel_capacity",
         "gaussian_secrecy_capacity", "make_bpsk", "make_psk", "make_qam",
         "mc_expect_complex_gaussian", "min_distance", "scan_secrecy_grid",
@@ -704,6 +714,37 @@ def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_pat
     assert run_cli(args + ["--out", str(out)]) == 1
     assert not out.exists()
     assert f"usage error: {flag}:" in capsys.readouterr().err
+
+
+# Finite but extreme values are domain errors raised where they enter. Both
+# used to overflow in the quadrature: a --sigma2 of 1e308 exited 2 with
+# "mutual information is not finite: got nan" after numpy overflow warnings,
+# and 3080 dB printed a row after them.
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "1e308"],
+         "eavesdropper noise ratio must be at most 1e+300, got 1e+308"),
+        (["mi", "--constellation", "bpsk", "--snr-db", "3080"],
+         "snr must be at most 1e+300, got 1e+308"),
+        (["mi", "--constellation", "bpsk", "--snr-db", "3080", "--mc-samples", "1000"],
+         "snr must be at most 1e+300, got 1e+308"),
+    ],
+    ids=["sigma2-1e308", "snr-3080dB", "snr-3080dB-mc"],
+)
+def test_extreme_snr_and_sigma2_are_domain_errors(args, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mc", [[], ["--mc-samples", "1000"]], ids=["gh", "mc"])
+def test_snr_of_3000_db_computes(mc, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_cli(["mi", "--constellation", "bpsk", "--snr-db", "3000", "--out", str(out)] + mc) == 0
+    _, rows = _read_rows(out)
+    assert len(rows) == 1 and rows[0][1] == "3000"
 
 
 def test_grid_at_the_point_cap_is_accepted():

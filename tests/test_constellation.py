@@ -96,6 +96,30 @@ def test_from_points_zero_energy_is_degenerate():
         from_points([0.0, 0.0])
 
 
+# Points are scaled by a power of two before their energy is taken, so a
+# valid set at any scale builds: the 1e200 pair used to overflow the energy
+# and the 1e-170 pair to underflow it to zero.
+@pytest.mark.parametrize(
+    "raw, want",
+    [
+        ([1e200, -1e200], [1.0, -1.0]),
+        ([1e-170, -1e-170], [1.0, -1.0]),
+        ([1e308 + 1e308j, -1e308 - 1e308j], [(1 + 1j) / math.sqrt(2), -(1 + 1j) / math.sqrt(2)]),
+        ([5e-324, -5e-324], [1.0, -1.0]),
+    ],
+    ids=["1e200", "1e-170", "1e308", "subnormal"],
+)
+def test_from_points_builds_at_extreme_scales(raw, want):
+    c = from_points(raw)
+    assert np.allclose(c.points, want, rtol=0.0, atol=1e-15)
+    assert np.array_equal(c.points, from_points(np.array(want)).points)
+
+
+def test_from_points_all_zero_is_still_degenerate():
+    with pytest.raises(ValueError, match="^degenerate constellation: total energy is zero$"):
+        from_points([0.0, 0.0, 0j])
+
+
 def test_from_points_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         from_points([1.0, 1.0, -1.0])
