@@ -34,8 +34,16 @@ CLAMP_LIMIT = 1e-9
 _BLOCK_BYTES = 1 << 16
 
 # Byte budget for the exponent buffer of one block of Monte-Carlo samples
-# (M^2 float64 per sample); it bounds the MC path's memory for any M.
+# (k^2 float64 per sample for a mixture factor of k points); it bounds the MC
+# path's memory for any M.
 _MC_BLOCK_BYTES = 1 << 19
+
+# Monte-Carlo exponents are clamped at _MC_EXP_FLOOR before exp, and only
+# when one can fall below it. For a stream sample |n|^2 / v < 37, so an
+# exponent is at least 37 - (|d_ij| / sqrt(v) + sqrt(37))^2; none is below the
+# floor while every |d_ij|^2 / v is at most _MC_CLAMP_FREE.
+_MC_EXP_FLOOR = -700.0
+_MC_CLAMP_FREE = (math.sqrt(37.0 - _MC_EXP_FLOOR) - math.sqrt(37.0)) ** 2
 
 
 def _first(values: np.ndarray, mask: np.ndarray) -> float | None:
@@ -253,6 +261,58 @@ def cc_mutual_information(
     return MIEstimate(bits, f"gauss_hermite(order={rule.order})", bound)
 
 
+def _mc_coefficients(levels: tuple[np.ndarray, ...], scale: float, variance: float) -> np.ndarray:
+    """Coefficients of one mixture factor, shape (len(levels) + 1, k, k).
+
+    levels holds one coordinate array per axis of the factor's k points.
+    With offsets d_ij = scale (x_i - x_j) along each axis, entry (i, j) of
+    the rows is -2 d_ij / variance per axis, then -|d_ij|^2 / variance.
+    """
+    offsets = [scale * np.subtract.outer(x, x) for x in levels]
+    coef = np.stack([-2.0 * d for d in offsets] + [-sum(d ** 2 for d in offsets)])
+    coef /= variance
+    return coef
+
+
+def _add_mean_log_mixture(out: np.ndarray, coords: list[np.ndarray], coef: np.ndarray) -> None:
+    """Add mean_i log sum_j exp(e_sij), with e_s = [*coords_s, 1] @ coef, to out[s].
+
+    coords holds a per-sample array for each row of coef but the last, which
+    the product takes times 1; coef is a _mc_coefficients array. Samples are
+    taken in blocks whose k^2 exponents fit _MC_BLOCK_BYTES (one sample at
+    least), so the buffers do not grow with the sample count. The buffers
+    are per call: the MC pieces run this at the same time.
+    """
+    k = coef.shape[-1]
+    clamp = -coef[-1].min() > _MC_CLAMP_FREE
+    coef = coef.reshape(len(coef), k * k)
+    step = max(1, _MC_BLOCK_BYTES // (8 * k * k))
+    rows = np.ones((step, len(coef)))
+    expo = np.empty((step, k * k))
+    logs = np.empty(step * k)
+    means = np.empty(step)
+    ones = np.ones(k)
+    for lo in range(0, out.size, step):
+        b = min(step, out.size - lo)
+        for col, x in enumerate(coords):
+            rows[:b, col] = x[lo:lo + b]
+        e = np.matmul(rows[:b], coef, out=expo[:b])
+        # No max shift is needed: each exponent is at most |n|^2 / v, which
+        # for a stream sample is -ln(1 - u) < 37 since u <= 1 - 2^-53, so exp
+        # cannot overflow; the j = i term is exactly exp(0) = 1, so every log
+        # argument is at least 1. The clamp keeps exp off its slow path for
+        # subnormal and zero results: a clamped term, exp(-700) ~ 1e-304,
+        # sits in a sum beside that 1 and cannot change it.
+        if clamp:
+            np.maximum(e, _MC_EXP_FLOOR, out=e)
+        np.exp(e, out=e)
+        s = np.matmul(e.reshape(b * k, k), ones, out=logs[:b * k])
+        np.log(s, out=s)
+        mean = np.matmul(s.reshape(b, k), ones, out=means[:b])
+        mean /= k
+        out[lo:lo + b] += mean
+
+
 def cc_mutual_information_mc(
     c: Constellation, snr: float, variance: float, cfg: MCConfig
 ) -> MIEstimate:
@@ -261,44 +321,36 @@ def cc_mutual_information_mc(
     Averages the per-symbol log-sum-exp terms over one shared seeded noise
     stream; the reported error bound is the standard error of the estimate.
     Sampling noise near the rate limits is clamped without complaint.
-    Samples are taken in blocks whose M^2 exponents fit _MC_BLOCK_BYTES (one
-    sample at least), so the kernel's buffers do not grow with the sample
-    count.
+
+    Each exponent is taken relative to the j = i term:
+        -|n + d_ij|^2 / v = -|n|^2 / v - (2 Re(n conj d_ij) + |d_ij|^2) / v
+    with d_ij = sqrt(snr)(x_i - x_j), so the M^2 relative exponents of a
+    sample are [Re n, Im n, 1] @ coef. For a product set A x B
+    (Constellation.axes) the sum over j is a real-axis sum times an
+    imaginary-axis sum, so the mean over i of its log is the sum of two
+    per-axis means, from [Re n, 1] with |A|^2 coefficients and [Im n, 1]
+    with |B|^2; an axis with one level adds log 1 = 0 and is skipped. A
+    sample so costs |A|^2 + |B|^2 exponentials and |A| + |B| logarithms
+    (32 and 8 for qam16) instead of M^2 and M (256 and 16).
     """
     snr, variance = map(float, _checked_channel(snr, variance))
     m = c.size
-    # Exponents are taken relative to the j = i term:
-    #   -|n + d_ij|^2 / v = -|n|^2 / v - (2 Re(n conj d_ij) + |d_ij|^2) / v
-    # with d_ij = sqrt(snr)(x_i - x_j), so a block's M^2 relative exponents
-    # are one [Re n, Im n, 1] @ coef product.
-    d = math.sqrt(snr) * (c.points[:, None] - c.points[None, :]).ravel()
-    coef = np.stack([-2.0 * d.real, -2.0 * d.imag, -(d.real ** 2 + d.imag ** 2)])
-    coef /= variance
-    step = max(1, _MC_BLOCK_BYTES // (8 * m * m))
-    ones = np.ones(m)
+    scale = math.sqrt(snr)
+    # Each factor: the axes of n that its rows read, and its coefficients.
+    if c.axes is None:
+        factors = [((0, 1), _mc_coefficients((c.points.real, c.points.imag), scale, variance))]
+    else:
+        factors = [
+            ((axis,), _mc_coefficients((levels,), scale, variance))
+            for axis, levels in enumerate(c.axes) if levels.size > 1
+        ]
 
     def pooled(n):
-        # The buffers are per call: the MC pieces run this at the same time.
         n = np.asarray(n)
-        values = np.empty(n.size)
-        rows = np.ones((step, 3))
-        expo = np.empty((step, m * m))
-        logs = np.empty(step * m)
-        for lo in range(0, n.size, step):
-            block = n[lo:lo + step]
-            b = block.size
-            rows[:b, 0] = block.real
-            rows[:b, 1] = block.imag
-            e = np.matmul(rows[:b], coef, out=expo[:b])
-            # No max shift is needed: each relative exponent is at most
-            # |n|^2 / v, which for a stream sample is -ln(1 - u) < 37 since
-            # u <= 1 - 2^-53, so exp cannot overflow; the j = i term is
-            # exactly exp(0) = 1, so every log argument is at least 1.
-            np.exp(e, out=e)
-            s = np.matmul(e.reshape(b * m, m), ones, out=logs[:b * m])
-            np.log(s, out=s)
-            np.matmul(s.reshape(b, m), ones, out=values[lo:lo + b])
-        values /= m
+        axes = (n.real, n.imag)
+        values = np.zeros(n.size)
+        for picks, coef in factors:
+            _add_mean_log_mixture(values, [axes[a] for a in picks], coef)
         values -= (n.real ** 2 + n.imag ** 2) / variance
         values /= LN2
         return values

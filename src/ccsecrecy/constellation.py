@@ -110,6 +110,26 @@ class Constellation:
         """
         return _square_orbits(self.points)
 
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The real and imaginary levels (A, B) if the points are exactly A x B.
+
+        A and B are the distinct real and imaginary parts, ascending; the set
+        is their full product when |A| |B| = M, since M distinct points take
+        M distinct (real, imaginary) pairs from the |A| |B| of the product.
+        None for any other set, such as psk8. The parts are compared exactly,
+        by a Python set: np.unique would cost its first caller about 8 ms to
+        import numpy.ma.
+        """
+        levels = tuple(
+            np.array(sorted(set(part.tolist()))) for part in (self.points.real, self.points.imag)
+        )
+        if levels[0].size * levels[1].size != self.size:
+            return None
+        for axis in levels:
+            axis.flags.writeable = False
+        return levels
+
 
 def make_bpsk() -> Constellation:
     """Antipodal pair {+1, -1}."""

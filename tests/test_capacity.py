@@ -39,6 +39,12 @@ def _asym16():
     return from_points(rng.standard_normal(16) + 1j * rng.standard_normal(16), "asym16")
 
 
+def _rect6():
+    """The 3 x 2 product {-1.5, 0.25, 2} x {-0.5, 1} i, in shuffled order."""
+    grid = np.add.outer([-1.5, 0.25, 2.0], [-0.5j, 1.0j]).ravel()
+    return from_points(grid[[4, 1, 5, 0, 3, 2]], "rect6")
+
+
 KERNEL_CONSTELLATIONS = {
     "bpsk": make_bpsk,
     "qam4": lambda: make_qam(4),
@@ -46,6 +52,7 @@ KERNEL_CONSTELLATIONS = {
     "qam16": lambda: make_qam(16),
     "qam64": lambda: make_qam(64),
     "asym16": _asym16,
+    "rect6": _rect6,
 }
 
 
@@ -394,6 +401,44 @@ def test_constellation_orbits(name, sizes):
         assert np.ptp(radii) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "name, sizes",
+    [("bpsk", (2, 1)), ("qam4", (2, 2)), ("qam16", (4, 4)), ("qam64", (8, 8)), ("rect6", (3, 2))],
+)
+def test_constellation_axes_of_product_sets(name, sizes):
+    c = KERNEL_CONSTELLATIONS[name]()
+    re, im = c.axes
+    assert (re.size, im.size) == sizes
+    assert np.all(np.diff(re) > 0) and np.all(np.diff(im) > 0)
+    product = {(a, b) for a in re.tolist() for b in im.tolist()}
+    assert {(x.real, x.imag) for x in c.points.tolist()} == product
+    if name == "bpsk":
+        assert im.tolist() == [0.0]
+    if name == "rect6":
+        scale = 1.0 / math.sqrt(np.mean([1.5**2, 0.25**2, 2.0**2]) + np.mean([0.5**2, 1.0]))
+        assert np.allclose(re, np.array([-1.5, 0.25, 2.0]) * scale, rtol=0, atol=1e-15)
+        assert np.allclose(im, np.array([-0.5, 1.0]) * scale, rtol=0, atol=1e-15)
+
+
+def _grid_missing_a_point():
+    grid = np.add.outer([-1.0, 0.0, 1.0], [-1.0j, 0.0j, 1.0j]).ravel()
+    return from_points(np.delete(grid, 5), "grid8")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_psk(4),
+        lambda: make_psk(8),
+        lambda: from_points(make_qam(4).points * np.exp(0.25j * math.pi), "qam4_rot45"),
+        _grid_missing_a_point,
+    ],
+    ids=["psk4", "psk8", "qam4_rot45", "grid3x3_less_one"],
+)
+def test_constellation_axes_of_other_sets(build):
+    assert build().axes is None
+
+
 def test_output_entropy_finite_at_max_order_and_high_snr():
     rule = gauss_hermite(200)
     for variance in (1.0, 20.0):
@@ -472,22 +517,23 @@ def test_mc_kernel_finite_at_largest_stream_radius(monkeypatch):
 
 
 def test_mc_memory_is_bounded_by_constellation_size():
-    # The kernel holds a (3, M^2) coefficient matrix, built from an M^2
-    # complex difference array, and one block of exponents of at most
-    # max(_MC_BLOCK_BYTES, 8 M^2) bytes; none of it grows with the sample
-    # count. For qam256 that is 1.5 + 1 MiB plus a 512 KiB block, and the
-    # temporaries of building the matrix; 6 MiB bounds it all. A per-point
-    # sum over all samples at once would hold (samples, 256) complex arrays,
-    # 4 MiB each at 1024 samples.
-    c = make_qam(256)
-    tracemalloc.start()
-    try:
-        est = cc_mutual_information_mc(c, 100.0, 1.0, MCConfig(1024, 1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert 0.0 < est.bits <= 8.0
-    assert peak <= 6 * 2**20, peak
+    # For a set that is not a product, such as psk256, the kernel holds a
+    # (3, M^2) coefficient matrix, built from per-axis M^2 offset arrays, and
+    # one block of exponents of at most max(_MC_BLOCK_BYTES, 8 M^2) bytes;
+    # none of it grows with the sample count. That is 1.5 MiB plus a 512 KiB
+    # block, and the temporaries of building the matrix; 6 MiB bounds it
+    # all. qam256 holds two (2, 16^2) factors, each with a block of at most
+    # _MC_BLOCK_BYTES. A per-point sum over all samples at once would hold
+    # (samples, 256) complex arrays, 4 MiB each at 1024 samples.
+    for c in (make_qam(256), make_psk(256)):
+        tracemalloc.start()
+        try:
+            est = cc_mutual_information_mc(c, 100.0, 1.0, MCConfig(1024, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < est.bits <= 8.0
+        assert peak <= 6 * 2**20, (c.name, peak)
 
 
 @pytest.mark.parametrize("samples", [3, 2**16 + 3, 2**19 + 1, 10**6])
@@ -536,6 +582,16 @@ def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):
 def _scan_snr():
     """Linear SNRs of the default 0.5 dB scan grid over [-30, 50] dB."""
     return db_to_linear(-30.0 + 0.5 * np.arange(161))
+
+
+def test_qam4_is_two_bpsk_axes_at_half_the_snr(rule32):
+    # qam4 is {+-1} x {+-1} / sqrt(2): each axis is a real bpsk channel at
+    # half the SNR, and bpsk at snr / 2 carries the same real-axis rate.
+    snr = _scan_snr()
+    for variance in (1.0, 5.0, 20.0):
+        qam4 = cc_mutual_information(make_qam(4), snr, variance, rule32).bits
+        bpsk = cc_mutual_information(make_bpsk(), snr / 2.0, variance, rule32).bits
+        assert np.max(np.abs(qam4 - 2.0 * bpsk)) <= 1e-12, variance
 
 
 ARRAY_CONSTELLATIONS = {
