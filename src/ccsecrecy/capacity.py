@@ -28,7 +28,7 @@ LN2 = math.log(2.0)
 # a numerical failure rather than roundoff to clamp away.
 CLAMP_LIMIT = 1e-9
 
-# Byte budget for one block of orbits in cc_output_entropy's temporaries. It
+# Byte budget for one block of rows in cc_output_entropy's temporaries. It
 # stays under glibc's 128 KiB mmap threshold, above which every call would map
 # and fault in fresh pages instead of reusing the heap.
 _BLOCK_BYTES = 1 << 16
@@ -38,12 +38,13 @@ _BLOCK_BYTES = 1 << 16
 # path's memory for any M.
 _MC_BLOCK_BYTES = 1 << 19
 
-# Monte-Carlo exponents are clamped at _MC_EXP_FLOOR before exp, and only
-# when one can fall below it. For a stream sample |n|^2 / v < 37, so an
-# exponent is at least 37 - (|d_ij| / sqrt(v) + sqrt(37))^2; none is below the
-# floor while every |d_ij|^2 / v is at most _MC_CLAMP_FREE.
-_MC_EXP_FLOOR = -700.0
-_MC_CLAMP_FREE = (math.sqrt(37.0 - _MC_EXP_FLOOR) - math.sqrt(37.0)) ** 2
+# Both kernels clamp exponents at _EXP_FLOOR before exp: exp(-700) ~ 1e-304
+# is still a normal float, so exp stays off its slow path. Monte-Carlo clamps
+# only when an exponent can fall below the floor. For a stream sample
+# |n|^2 / v < 37, so an exponent is at least 37 - (|d_ij| / sqrt(v) + sqrt(37))^2;
+# none is below the floor while every |d_ij|^2 / v is at most _MC_CLAMP_FREE.
+_EXP_FLOOR = -700.0
+_MC_CLAMP_FREE = (math.sqrt(37.0 - _EXP_FLOOR) - math.sqrt(37.0)) ** 2
 
 
 def _first(values: np.ndarray, mask: np.ndarray) -> float | None:
@@ -117,15 +118,22 @@ def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
 def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One axis of the separable mixture, scaled to stay finite.
 
-    For offsets u (rows x points) and nodes t, the exponent -(t_a + u_j)^2
+    For offsets u (points x rows) and nodes t, the exponent -(t_a + u_j)^2
     is taken relative to the u = 0 term, giving e = -u_j (2 t_a + u_j) <= t_a^2,
-    and each (row, node) is then shifted by half its maximum, which is at
-    least the u = 0 term's 0. Returns exp of the shifted exponents, shape
-    (rows, nodes, points), and the shifts, shape (rows, nodes).
+    and each (row, node) is then shifted by half its maximum over the points,
+    which is at least the u = 0 term's 0. Returns exp of the shifted
+    exponents, shape (points, rows, nodes), and the shifts, shape (rows, nodes).
+    Points-major, the maximum is an elementwise max across (rows, nodes) slices.
     """
-    e = -u[:, None, :] * (2.0 * t[None, :, None] + u[:, None, :])
-    shift = 0.5 * e.max(axis=-1)
-    np.subtract(e, shift[..., None], out=e)
+    e = -u[:, :, None] * (2.0 * t + u[:, :, None])
+    shift = 0.5 * e.max(axis=0)
+    np.subtract(e, shift, out=e)
+    # The clamp keeps exp off its slow path for subnormal and zero results,
+    # and cannot change a sum: after the half-max shift the u = 0 factor is
+    # at least exp(-t_a^2 / 2), about 1e-11 at order 32 (1e-22 for the
+    # product of two), and no factor exceeds exp(t_a^2 / 2), so a term with a
+    # clamped factor, exp(-700) ~ 1e-304, is lost in rounding beside it.
+    np.maximum(e, _EXP_FLOOR, out=e)
     np.exp(e, out=e)
     return e, shift
 
@@ -133,15 +141,50 @@ def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _row_sums(t: np.ndarray, w: np.ndarray, wsum: float, offsets: np.ndarray) -> np.ndarray:
     """sum_ab w_a w_b (log mixture_ab + re_shift_a + im_shift_b) per row of offsets.
 
-    Each sum is taken within its row, never across rows, so a row's value
-    does not depend on the rows that share its block. The block's
-    temporaries are freed on return, before the next block allocates its own.
+    offsets are complex, points x rows; mixture_ab = sum_j re_j(a) im_j(b) is
+    one (n x M) @ (M x n) product per row. Each sum is taken within its row,
+    never across rows, so a row's value does not depend on the rows that
+    share its block. The block's temporaries are freed on return, before the
+    next block allocates its own.
     """
     re_factor, re_shift = _shifted_factor(t, offsets.real)
     im_factor, im_shift = _shifted_factor(t, offsets.imag)
-    mixture = np.matmul(re_factor, im_factor.transpose(0, 2, 1))
+    mixture = np.matmul(re_factor.transpose(1, 2, 0), im_factor.transpose(1, 0, 2))
     np.log(mixture, out=mixture)
     return ((mixture @ w + wsum * (re_shift + im_shift)) * w).sum(axis=-1)
+
+
+def _axis_row_sums(t: np.ndarray, w: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """sum_a w_a (log sum_j factor_j(a) + shift_a) per row of real offsets (points x rows)."""
+    factor, shift = _shifted_factor(t, offsets)
+    sums = factor.sum(axis=0)
+    np.log(sums, out=sums)
+    sums += shift
+    return sums @ w
+
+
+def _channel_sums(ratio: np.ndarray, diffs: np.ndarray, sizes: np.ndarray,
+                  row_bytes: int, row_sums) -> np.ndarray:
+    """sum_r sizes_r * row_sums(ratio_c * diffs[:, r]) per channel c.
+
+    diffs is points x reps, and a row is a (channel, rep) pair. Rows are taken
+    in blocks whose temporaries, row_bytes per row, fit _BLOCK_BYTES. A block
+    holds whole channels when a channel's reps fit, else a run of one
+    channel's reps, so each channel's reps are grouped the same way whatever
+    its neighbours.
+    """
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    reps = diffs.shape[1]
+    per_block = max(1, step // reps)
+    span = min(step, reps)
+    totals = np.zeros(ratio.size)
+    for lo in range(0, ratio.size, per_block):
+        channels = ratio[lo:lo + per_block, None]
+        for first in range(0, reps, span):
+            offsets = (diffs[:, None, first:first + span] * channels).reshape(len(diffs), -1)
+            per_row = row_sums(offsets).reshape(len(channels), -1)
+            totals[lo:lo + per_block] += (per_row * sizes[first:first + span]).sum(axis=-1)
+    return totals
 
 
 def cc_output_entropy(
@@ -164,43 +207,59 @@ def cc_output_entropy(
     only one point per orbit of the constellation (Constellation.orbits) is
     evaluated, weighted by the orbit's size.
 
+    For a product set A x B (Constellation.axes) the sum over j is itself a
+    real-axis sum times an imaginary-axis sum, so the tensor value is a sum
+    of 1-D values: per level of each axis, n sums of |levels| terms, each row
+    weighted by the other axis's weight sum and by M / |levels|. An axis with
+    one level adds log 1 = 0 and is skipped, and when A equals B the axis is
+    computed once and counted twice.
+
     snr in [0, 1e300] and variance in [1e-300, 1e300], with snr / variance
     <= 1e300, may be floats or arrays that broadcast together; the result
     has their broadcast shape, and is a float when both are floats.
-    The kernel runs over rows of (channel, orbit) pairs, a block of rows at a
-    time, and a channel's value does not depend on the other channels, so an
-    array gives the values of one call per element.
+    The kernel runs over rows of (channel, orbit) or (channel, level) pairs,
+    a block of rows at a time, and a channel's value does not depend on the
+    other channels, so an array gives the values of one call per element.
     """
     snr, variance = _checked_channel(snr, variance)
     t, w = rule.nodes, rule.weights
-    points = c.points
-    orbits = c.orbits
-    sizes = np.array([len(orbit) for orbit in orbits], dtype=float)
-    reps = [orbit[0] for orbit in orbits]
-    diffs = points[reps, None] - points[None, :]
+    wsum = float(w.sum())
     # Offsets in units of the per-axis noise scale sqrt(variance) are a
-    # channel's sqrt(snr / variance) times diffs.
+    # channel's sqrt(snr / variance) times the point differences.
     ratio = np.sqrt(snr / variance)
     shape = ratio.shape
     ratio = ratio.ravel()
-    # Rows per block: the largest temporary per row is the n x n mixture or
-    # an n x M factor, in float64. A block holds whole channels when a
-    # channel's orbits fit, else a run of one channel's orbits, so each
-    # channel's orbits are grouped the same way whatever its neighbours.
-    step = max(1, _BLOCK_BYTES // (8 * t.size * max(t.size, c.size)))
-    per_block = max(1, step // len(reps))
-    span = min(step, len(reps))
-    # totals = sum over orbits of size * sum_ab w_a w_b log S(a, b) in nats,
-    # per channel, with log S = -(t_a^2 + t_b^2) + re_shift_a + im_shift_b
-    # + log mixture_ab; each part but the first is in _row_sums.
-    wsum = float(w.sum())
-    totals = np.zeros(ratio.size)
-    for lo in range(0, ratio.size, per_block):
-        channels = ratio[lo:lo + per_block, None, None]
-        for first in range(0, len(reps), span):
-            offsets = (channels * diffs[first:first + span]).reshape(-1, c.size)
-            per_row = _row_sums(t, w, wsum, offsets).reshape(len(channels), -1)
-            totals[lo:lo + per_block] += (per_row * sizes[first:first + span]).sum(axis=-1)
+    # totals = sum over i of sum_ab w_a w_b log S_i(a, b) in nats, per
+    # channel, with log S = -(t_a^2 + t_b^2) + the shifted log mixture; all
+    # but the first part come from the row sums.
+    if c.axes is None:
+        points = c.points
+        reps = [orbit[0] for orbit in c.orbits]
+        sizes = np.array([len(orbit) for orbit in c.orbits], dtype=float)
+        # The largest temporary per row is the n x n mixture or an n x M factor.
+        row_bytes = 8 * t.size * max(t.size, c.size)
+        totals = _channel_sums(
+            ratio, points[reps] - points[:, None], sizes, row_bytes,
+            lambda offsets: _row_sums(t, w, wsum, offsets),
+        )
+    else:
+        re_levels, im_levels = c.axes
+        if np.array_equal(re_levels, im_levels):
+            axes = ((re_levels, 2),)
+        else:
+            axes = ((re_levels, 1), (im_levels, 1))
+        totals = np.zeros(ratio.size)
+        for levels, count in axes:
+            k = levels.size
+            if k > 1:
+                # A level's row sum counts once per point on it, M / k times,
+                # and once per node of the other axis, by that axis's wsum.
+                # The largest temporary per row is an n x k factor.
+                sizes = np.full(k, count * wsum * (c.size // k))
+                totals += _channel_sums(
+                    ratio, levels - levels[:, None], sizes, 8 * t.size * k,
+                    lambda offsets: _axis_row_sums(t, w, offsets),
+                )
     totals -= 2.0 * c.size * wsum * float(w @ (t * t))
     return _shaped(
         math.log2(c.size) + np.log2(math.pi * variance)
@@ -261,56 +320,80 @@ def cc_mutual_information(
     return MIEstimate(bits, f"gauss_hermite(order={rule.order})", bound)
 
 
-def _mc_coefficients(levels: tuple[np.ndarray, ...], scale: float, variance: float) -> np.ndarray:
-    """Coefficients of one mixture factor, shape (len(levels) + 1, k, k).
+def _mc_coefficients(levels: tuple[np.ndarray, ...], rows: slice, scale: float,
+                     variance: float) -> np.ndarray:
+    """Coefficients of one mixture factor's rows i, shape (len(levels) + 1, rows, k).
 
     levels holds one coordinate array per axis of the factor's k points.
     With offsets d_ij = scale (x_i - x_j) along each axis, entry (i, j) of
     the rows is -2 d_ij / variance per axis, then -|d_ij|^2 / variance.
     """
-    offsets = [scale * np.subtract.outer(x, x) for x in levels]
+    offsets = [scale * np.subtract.outer(x[rows], x) for x in levels]
     coef = np.stack([-2.0 * d for d in offsets] + [-sum(d ** 2 for d in offsets)])
     coef /= variance
     return coef
 
 
-def _add_mean_log_mixture(out: np.ndarray, coords: list[np.ndarray], coef: np.ndarray) -> None:
+def _coefficient_blocks(levels: tuple[np.ndarray, ...], scale: float, variance: float):
+    """A function giving one mixture factor's coefficients in blocks of rows i.
+
+    Each block's _mc_coefficients fit _MC_BLOCK_BYTES (one row at least).
+    When all k rows fit one block it is built here, once, and every call
+    gives it again; otherwise each call gives a generator that builds the
+    blocks one at a time, so that memory does not grow with k^2.
+    """
+    k = levels[0].size
+    span = max(1, min(k, _MC_BLOCK_BYTES // (8 * (len(levels) + 1) * k)))
+    if span == k:
+        whole = [_mc_coefficients(levels, slice(None), scale, variance)]
+        return lambda: whole
+    return lambda: (
+        _mc_coefficients(levels, slice(first, first + span), scale, variance)
+        for first in range(0, k, span)
+    )
+
+
+def _add_mean_log_mixture(out: np.ndarray, coords: list[np.ndarray], blocks) -> None:
     """Add mean_i log sum_j exp(e_sij), with e_s = [*coords_s, 1] @ coef, to out[s].
 
     coords holds a per-sample array for each row of coef but the last, which
-    the product takes times 1; coef is a _mc_coefficients array. Samples are
-    taken in blocks whose k^2 exponents fit _MC_BLOCK_BYTES (one sample at
-    least), so the buffers do not grow with the sample count. The buffers
-    are per call: the MC pieces run this at the same time.
+    the product takes times 1; blocks are the factor's coefficients, a block
+    of rows i at a time (_coefficient_blocks), and each block adds its share
+    of the mean over its k points. Samples are taken in blocks whose
+    exponents fit _MC_BLOCK_BYTES (one sample at least), so the buffers do
+    not grow with the sample count. The buffers are per call: the MC pieces
+    run this at the same time.
     """
-    k = coef.shape[-1]
-    clamp = -coef[-1].min() > _MC_CLAMP_FREE
-    coef = coef.reshape(len(coef), k * k)
-    step = max(1, _MC_BLOCK_BYTES // (8 * k * k))
-    rows = np.ones((step, len(coef)))
-    expo = np.empty((step, k * k))
-    logs = np.empty(step * k)
-    means = np.empty(step)
-    ones = np.ones(k)
-    for lo in range(0, out.size, step):
-        b = min(step, out.size - lo)
-        for col, x in enumerate(coords):
-            rows[:b, col] = x[lo:lo + b]
-        e = np.matmul(rows[:b], coef, out=expo[:b])
-        # No max shift is needed: each exponent is at most |n|^2 / v, which
-        # for a stream sample is -ln(1 - u) < 37 since u <= 1 - 2^-53, so exp
-        # cannot overflow; the j = i term is exactly exp(0) = 1, so every log
-        # argument is at least 1. The clamp keeps exp off its slow path for
-        # subnormal and zero results: a clamped term, exp(-700) ~ 1e-304,
-        # sits in a sum beside that 1 and cannot change it.
-        if clamp:
-            np.maximum(e, _MC_EXP_FLOOR, out=e)
-        np.exp(e, out=e)
-        s = np.matmul(e.reshape(b * k, k), ones, out=logs[:b * k])
-        np.log(s, out=s)
-        mean = np.matmul(s.reshape(b, k), ones, out=means[:b])
-        mean /= k
-        out[lo:lo + b] += mean
+    for coef in blocks:
+        width, r, k = coef.shape
+        clamp = -coef[-1].min() > _MC_CLAMP_FREE
+        coef = coef.reshape(width, r * k)
+        step = max(1, _MC_BLOCK_BYTES // (8 * r * k))
+        rows = np.ones((step, width))
+        expo = np.empty((step, r * k))
+        logs = np.empty(step * r)
+        means = np.empty(step)
+        ones = np.ones(k)
+        for lo in range(0, out.size, step):
+            b = min(step, out.size - lo)
+            for col, x in enumerate(coords):
+                rows[:b, col] = x[lo:lo + b]
+            e = np.matmul(rows[:b], coef, out=expo[:b])
+            # No max shift is needed: each exponent is at most |n|^2 / v, which
+            # for a stream sample is -ln(1 - u) < 37 since u <= 1 - 2^-53, so
+            # exp cannot overflow; the j = i term is exactly exp(0) = 1, so
+            # every log argument is at least 1. The clamp keeps exp off its
+            # slow path for subnormal and zero results: a clamped term,
+            # exp(-700) ~ 1e-304, sits in a sum beside that 1 and cannot
+            # change it.
+            if clamp:
+                np.maximum(e, _EXP_FLOOR, out=e)
+            np.exp(e, out=e)
+            s = np.matmul(e.reshape(b * r, k), ones, out=logs[:b * r])
+            np.log(s, out=s)
+            mean = np.matmul(s.reshape(b, r), ones[:r], out=means[:b])
+            mean /= k
+            out[lo:lo + b] += mean
 
 
 def cc_mutual_information_mc(
@@ -336,12 +419,12 @@ def cc_mutual_information_mc(
     snr, variance = map(float, _checked_channel(snr, variance))
     m = c.size
     scale = math.sqrt(snr)
-    # Each factor: the axes of n that its rows read, and its coefficients.
+    # Each factor: the axes of n that its rows read, and its coefficient blocks.
     if c.axes is None:
-        factors = [((0, 1), _mc_coefficients((c.points.real, c.points.imag), scale, variance))]
+        factors = [((0, 1), _coefficient_blocks((c.points.real, c.points.imag), scale, variance))]
     else:
         factors = [
-            ((axis,), _mc_coefficients((levels,), scale, variance))
+            ((axis,), _coefficient_blocks((levels,), scale, variance))
             for axis, levels in enumerate(c.axes) if levels.size > 1
         ]
 
@@ -349,8 +432,8 @@ def cc_mutual_information_mc(
         n = np.asarray(n)
         axes = (n.real, n.imag)
         values = np.zeros(n.size)
-        for picks, coef in factors:
-            _add_mean_log_mixture(values, [axes[a] for a in picks], coef)
+        for picks, blocks in factors:
+            _add_mean_log_mixture(values, [axes[a] for a in picks], blocks())
         values -= (n.real ** 2 + n.imag ** 2) / variance
         values /= LN2
         return values

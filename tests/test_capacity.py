@@ -378,6 +378,32 @@ def test_output_entropy_matches_direct_sum(name):
                 assert abs(got - want) <= 1e-12, (order, db, variance)
 
 
+# Order-32 h(y) of two sets that are not products, as float.hex, keyed by
+# (name, dB, variance): recorded before the kernel went points-major. The 2-D
+# kernel must reproduce them bit for bit.
+FROZEN_2D_ENTROPY = {
+    ("psk8", -10.0, 1.0): "0x1.9da7c21ff384dp+1",
+    ("psk8", -10.0, 20.0): "0x1.db1796d18da68p+2",
+    ("psk8", 10.0, 1.0): "0x1.7161e7c1fdebfp+2",
+    ("psk8", 10.0, 20.0): "0x1.ffe2b1f9b2972p+2",
+    ("psk8", 40.0, 1.0): "0x1.86073a671183dp+2",
+    ("psk8", 40.0, 20.0): "0x1.4d50d9596f4fbp+3",
+    ("asym16", -10.0, 1.0): "0x1.9a5eaf23830cap+1",
+    ("asym16", -10.0, 20.0): "0x1.db00ff38532bap+2",
+    ("asym16", 10.0, 1.0): "0x1.76581a2c31a27p+2",
+    ("asym16", 10.0, 20.0): "0x1.f991a8220472cp+2",
+    ("asym16", 40.0, 1.0): "0x1.c6073a671183dp+2",
+    ("asym16", 40.0, 20.0): "0x1.6ce703013f1e0p+3",
+}
+
+
+def test_output_entropy_of_sets_that_are_not_products_is_frozen(rule32):
+    for (name, db, variance), want in FROZEN_2D_ENTROPY.items():
+        c = KERNEL_CONSTELLATIONS[name]()
+        got = cc_output_entropy(c, 10.0 ** (db / 10.0), variance, rule32)
+        assert got.hex() == want, (name, db, variance)
+
+
 @pytest.mark.parametrize(
     "name, sizes",
     [
@@ -437,6 +463,21 @@ def _grid_missing_a_point():
 )
 def test_constellation_axes_of_other_sets(build):
     assert build().axes is None
+
+
+@pytest.mark.parametrize("name", ["qam16", "rect6", "psk8", "asym16"])
+def test_output_entropy_in_one_row_blocks_matches_the_default_blocks(monkeypatch, name):
+    # With a 1-byte budget every block is one (channel, orbit) or (channel,
+    # level) row, so a channel's rows are summed one block at a time.
+    c = KERNEL_CONSTELLATIONS[name]()
+    snr = _scan_snr()[::8]
+    for order in (8, 32):
+        rule = gauss_hermite(order)
+        want = cc_output_entropy(c, snr, 5.0, rule)
+        monkeypatch.setattr(capacity, "_BLOCK_BYTES", 1)
+        got = cc_output_entropy(c, snr, 5.0, rule)
+        monkeypatch.undo()
+        assert np.max(np.abs(got - want)) <= 4e-15, order
 
 
 def test_output_entropy_finite_at_max_order_and_high_snr():
@@ -517,14 +558,13 @@ def test_mc_kernel_finite_at_largest_stream_radius(monkeypatch):
 
 
 def test_mc_memory_is_bounded_by_constellation_size():
-    # For a set that is not a product, such as psk256, the kernel holds a
-    # (3, M^2) coefficient matrix, built from per-axis M^2 offset arrays, and
-    # one block of exponents of at most max(_MC_BLOCK_BYTES, 8 M^2) bytes;
-    # none of it grows with the sample count. That is 1.5 MiB plus a 512 KiB
-    # block, and the temporaries of building the matrix; 6 MiB bounds it
-    # all. qam256 holds two (2, 16^2) factors, each with a block of at most
-    # _MC_BLOCK_BYTES. A per-point sum over all samples at once would hold
-    # (samples, 256) complex arrays, 4 MiB each at 1024 samples.
+    # For a set that is not a product, such as psk256, the kernel holds one
+    # block of rows of its (3, M, M) coefficients at a time, and one block of
+    # exponents, each within _MC_BLOCK_BYTES, plus the temporaries of
+    # building the coefficients; none of it grows with the sample count, and
+    # 6 MiB bounds it all. qam256 holds two (2, 16, 16) factors, each with a
+    # block of at most _MC_BLOCK_BYTES. A per-point sum over all samples at
+    # once would hold (samples, 256) complex arrays, 4 MiB each at 1024 samples.
     for c in (make_qam(256), make_psk(256)):
         tracemalloc.start()
         try:
@@ -534,6 +574,42 @@ def test_mc_memory_is_bounded_by_constellation_size():
             tracemalloc.stop()
         assert 0.0 < est.bits <= 8.0
         assert peak <= 6 * 2**20, (c.name, peak)
+
+
+def test_mc_memory_of_a_large_set_that_is_not_a_product():
+    # psk1024 takes the M^2 path, and its (3, 1024, 1024) coefficients
+    # alone would be 24 MiB; built a block of rows i at a time, they and the
+    # exponents each fit _MC_BLOCK_BYTES (about 2.3 MiB traced in all). The
+    # set is built first: its validation holds M x M distance matrices.
+    c = make_psk(1024)
+    tracemalloc.start()
+    try:
+        est = cc_mutual_information_mc(c, 100.0, 1.0, MCConfig(64, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.bits <= 10.0
+    assert peak <= 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("name, budget", [
+    ("psk8", 8 * 3 * 8 * 3),
+    ("asym16", 8 * 3 * 16 * 5),
+    ("rect6", 8 * 2 * 3 * 2),
+])
+def test_mc_kernel_in_blocks_of_rows_matches_direct_sum(monkeypatch, name, budget):
+    # The budget holds the coefficients of 3 of psk8's 8 rows i, 5 of
+    # asym16's 16 and 2 of the 3 real levels of rect6, so those factors run
+    # in blocks of rows with a short last one (16 = 5 + 5 + 5 + 1).
+    c = KERNEL_CONSTELLATIONS[name]()
+    monkeypatch.setattr(capacity, "_MC_BLOCK_BYTES", budget)
+    cfg = MCConfig(300, 4)
+    for db in (-10.0, 10.0, 40.0):
+        snr = 10.0 ** (db / 10.0)
+        _, kernel = _mc_with_kernel(monkeypatch, c, snr, 2.0, cfg)
+        n = integrate.ComplexGaussianStream(2.0, cfg).take(0, cfg.samples)
+        want = _direct_mc_values(c.points, snr, 2.0, n)
+        assert np.max(np.abs(kernel(n) - want)) <= 1e-12, db
 
 
 @pytest.mark.parametrize("samples", [3, 2**16 + 3, 2**19 + 1, 10**6])

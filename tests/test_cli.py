@@ -754,7 +754,9 @@ def test_grid_at_the_point_cap_is_accepted():
 
 # CLI bytes recorded before the rate and peak commands shared one emitter.
 # JSON is pinned as the exact text json.dumps(..., indent=2) gives for these
-# values; float reprs round-trip, so equal text means equal bytes.
+# values; float reprs round-trip, so equal text means equal bytes. The bpsk
+# c_max and the qam4 10 dB mi_eve and cc_sc were re-recorded, exactly, when
+# product sets took the per-axis quadrature sum (last-bit changes, below 1e-15).
 FROZEN_JSON = {
     "maximize-bpsk": (
         ["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=-10:15:0.5",
@@ -764,7 +766,7 @@ FROZEN_JSON = {
                   "scan_db": [-10.0, 15.0, 0.5], "tol_db": 0.01},
          "rows": [{"constellation": "bpsk", "sigma_sq": 5.0,
                    "snr_max_db": 1.8597200856351472, "snr_max_linear": 1.5345180758333892,
-                   "c_max": 0.5098292242052946, "bracket": [1.5, 2.5],
+                   "c_max": 0.5098292242052951, "bracket": [1.5, 2.5],
                    "grid_local_maxima": 1, "iterations": 10, "unimodal_ok": True}]},
     ),
     "constellation-psk8": (
@@ -796,8 +798,8 @@ FROZEN_JSON = {
                    "cc_sc": 1.0193416328685556, "gc_sc": 1.350329515204619,
                    "gaussian_cap": 2.057373208606795},
                   {"constellation": "qam4", "snr_db": 10.0, "sigma_sq": 5.0,
-                   "mi_main": 1.9935439168632678, "mi_eve": 1.4429042404600851,
-                   "cc_sc": 0.5506396764031827, "gc_sc": 1.874469117916141,
+                   "mi_main": 1.9935439168632678, "mi_eve": 1.442904240460086,
+                   "cc_sc": 0.5506396764031818, "gc_sc": 1.874469117916141,
                    "gaussian_cap": 3.4594316186372973}]},
     ),
 }
@@ -841,13 +843,14 @@ def test_csv_bytes_are_frozen(name, tmp_path):
     assert out.read_bytes() == want.encode()
 
 
-# max-sweep JSON rows recorded when they held only the CSV columns.
+# max-sweep JSON rows recorded when they held only the CSV columns; the first
+# c_max re-recorded with FROZEN_JSON's.
 FROZEN_MAX_SWEEP_JSON = {
     "meta": {"tool": "ccsecrecy", "version": "0.1.0", "command": "max-sweep",
              "constellation": "bpsk", "method": "gauss_hermite", "gh_order": 32,
              "scan_db": [-30.0, 50.0, 0.5], "tol_db": 0.01},
     "rows": [{"constellation": "bpsk", "sigma_sq": 5.0, "snr_max_db": 1.8597200856351472,
-              "snr_max_linear": 1.5345180758333892, "c_max": 0.5098292242052946,
+              "snr_max_linear": 1.5345180758333892, "c_max": 0.5098292242052951,
               "unimodal_ok": True},
              {"constellation": "bpsk", "sigma_sq": 10.0, "snr_max_db": 2.9599400268659046,
               "snr_max_linear": 1.976942339685164, "c_max": 0.6711526613001899,

@@ -181,6 +181,19 @@ def test_find_maximum_qam4_relates_to_bpsk():
     assert q.snr_max_db == pytest.approx(b.snr_max_db + 10.0 * math.log10(2.0), abs=0.05)
 
 
+def test_qam4_peaks_are_bpsk_peaks_at_twice_the_power():
+    # I_qam4(snr) = 2 I_bpsk(snr / 2) exactly, so at every noise ratio qam4's
+    # secrecy peak is bpsk's, 10 log10 2 dB higher, with twice its c_max.
+    opts = SearchOptions()
+    sigmas = [5.0, 10.0, 20.0]
+    bpsk = sweep_max_vs_sigma(make_bpsk(), sigmas, opts)
+    qam4 = sweep_max_vs_sigma(make_qam(4), sigmas, opts)
+    for b, q in zip(bpsk, qam4):
+        assert b.unimodal_ok and q.unimodal_ok
+        assert abs(q.snr_max_db - b.snr_max_db - 10.0 * math.log10(2.0)) <= opts.tol_db, b.sigma_sq
+        assert abs(q.c_max - 2.0 * b.c_max) <= 1e-6, b.sigma_sq
+
+
 def test_sweep_rows():
     rows = sweep_max_vs_sigma(make_bpsk(), [2.0, 5.0, 20.0], FAST)
     assert [r.sigma_sq for r in rows] == [2.0, 5.0, 20.0]
