@@ -48,6 +48,11 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
+        # A float would fail later in range(), and Philox truncates a
+        # fractional seed to another seed's stream; bool is an int subclass.
+        for name, value in (("samples", self.samples), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples < 2:
             raise ValueError(
                 f"need at least 2 samples to estimate a standard error, got {self.samples}"

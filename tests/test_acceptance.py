@@ -136,17 +136,21 @@ def test_criterion_03_interior_global_maximum(scan_grids, refined_maxima):
     maxima, build_s = refined_maxima
     opts = SearchOptions()
     rule = gauss_hermite(opts.gh_order)
+    half = gauss_hermite(opts.gh_order // 2)
     with criterion("criterion 3 (interior maximum)", 300.0, extra_s=build_s):
         for name, c in REFERENCE:
             for s in SIGMAS:
                 result = maxima[(name, s)]
                 lo, hi = result.bracket
                 assert opts.scan_lo_db <= lo < result.snr_max_db < hi <= opts.scan_hi_db
-                audited = cc_secrecy_capacity(
-                    c, WiretapChannel(result.snr_max_linear, s), rule, audit=True
+                # The margin is ten times the peak's change from order 32 to
+                # order 16: a scale for the quadrature's resolution, not a bound.
+                ch = WiretapChannel(result.snr_max_linear, s)
+                gap = abs(
+                    cc_secrecy_capacity(c, ch, rule).bits - cc_secrecy_capacity(c, ch, half).bits
                 )
                 _, values = grids[(name, s)]
-                margin = 10.0 * audited.error_bound
+                margin = 10.0 * gap
                 assert result.c_max - values[0] >= margin, (name, s)
                 assert result.c_max - values[-1] >= margin, (name, s)
 

@@ -680,6 +680,10 @@ def test_public_surface():
         "mc_expect_complex_gaussian", "min_distance", "scan_secrecy_grid",
         "sweep_max_vs_sigma",
     ])
+    # The rate functions take no test-only options.
+    for fn, params in ((ccsecrecy.cc_mutual_information, ["c", "snr", "variance", "rule"]),
+                       (ccsecrecy.cc_secrecy_capacity, ["c", "ch", "rule"])):
+        assert list(inspect.signature(fn).parameters) == params
     parser = cli.build_parser()
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(commands) == ["mi", "sweep", "maximize", "max-sweep", "constellation"]

@@ -213,6 +213,20 @@ def test_mc_config_validation(samples, seed):
         MCConfig(samples, seed)
 
 
+# A float count used to fail later in range(), and a fractional seed drew the
+# stream of its integer part while the method string reported the fraction.
+@pytest.mark.parametrize("samples,seed,bad", [
+    (1e6, 0, "samples must be an integer, got 1000000.0"),
+    (1000.0, 0, "samples must be an integer, got 1000.0"),
+    (1000, 1.5, "seed must be an integer, got 1.5"),
+    (1000, True, "seed must be an integer, got True"),
+])
+def test_mc_config_takes_only_integers(samples, seed, bad):
+    with pytest.raises(ValueError, match=bad):
+        MCConfig(samples, seed)
+    assert MCConfig(np.int64(1000), np.uint64(2**63)).seed == 2**63
+
+
 def test_stream_repeat_fetch_is_identical():
     stream = integrate.ComplexGaussianStream(1.0, MCConfig(100, 7))
     assert np.array_equal(stream.take(0, 3), stream.take(0, 3))
