@@ -32,7 +32,6 @@ from .integrate import (
     HermiteRule,
     MCConfig,
     gauss_hermite,
-    mc_expect_complex_gaussian,
 )
 from .optimize import (
     MaximumResult,
@@ -65,7 +64,6 @@ __all__ = [
     "make_bpsk",
     "make_psk",
     "make_qam",
-    "mc_expect_complex_gaussian",
     "min_distance",
     "scan_secrecy_grid",
     "sweep_max_vs_sigma",

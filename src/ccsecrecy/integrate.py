@@ -1,9 +1,10 @@
 """Gauss-Hermite rules and seeded Monte Carlo for complex-Gaussian expectations.
 
 gauss_hermite gives the per-axis rule that capacity.cc_output_entropy applies
-on its separable tensor grid. mc_expect_complex_gaussian estimates E[f(N)] for
-N circularly symmetric complex Gaussian with mean zero from a seekable sample
-stream: a reproducible cross-check that also reports a standard error.
+on its separable tensor grid. mc_expect_complex_gaussian estimates E[f(W)] for
+W ~ CN(0, 1) from a seekable sample stream; capacity.cc_mutual_information_mc,
+which works in units of the noise scale, runs it as a reproducible
+cross-check that also reports a standard error.
 """
 
 from __future__ import annotations
@@ -123,21 +124,19 @@ def gauss_hermite(n: int) -> HermiteRule:
 
 
 class ComplexGaussianStream:
-    """Deterministic, index-addressable stream of CN(0, variance) samples.
+    """Deterministic, index-addressable stream of CN(0, 1) samples.
 
-    Sample k is a fixed function of (seed, k, variance): it is derived from
-    the first two uniform draws (u, v) of Philox counter block k keyed by the
-    seed, mapped through the radial transform
+    Sample k is a fixed function of (seed, k): it is derived from the first
+    two uniform draws (u, v) of Philox counter block k keyed by the seed,
+    mapped through the radial transform
 
-        N_k = sqrt(-variance * ln(1 - u)) * exp(i * 2*pi * v)
+        W_k = sqrt(-ln(1 - u)) * exp(i * 2*pi * v)
 
     so any index range can be regenerated independently of what was fetched
-    before, and streams at different variances sharing a seed are coupled by
-    a pure scale factor.
+    before, and one draw serves every noise variance and SNR.
     """
 
-    def __init__(self, variance: float, cfg: MCConfig):
-        self.variance = float(_checked("noise variance", variance))
+    def __init__(self, cfg: MCConfig):
         self.cfg = cfg
 
     def take(self, start: int, count: int) -> np.ndarray:
@@ -147,7 +146,7 @@ class ComplexGaussianStream:
         bit_gen = np.random.Philox(key=self.cfg.seed)
         bit_gen.advance(start)
         u = np.random.Generator(bit_gen).random((count, _WORDS_PER_BLOCK))
-        radius = np.sqrt(-self.variance * np.log1p(-u[:, 0]))
+        radius = np.sqrt(-np.log1p(-u[:, 0]))
         return radius * np.exp(2j * np.pi * u[:, 1])
 
 
@@ -159,10 +158,8 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def mc_expect_complex_gaussian(
-    f: Callable, variance: float, cfg: MCConfig
-) -> tuple[float, float]:
-    """Seeded Monte-Carlo estimate of E[f(N)], N ~ CN(0, variance).
+def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float]:
+    """Seeded Monte-Carlo estimate of E[f(W)], W ~ CN(0, 1).
 
     The samples are drawn, evaluated and summed up as (count, mean, M2) in
     fixed pieces of _PIECE samples, which a thread pool with one worker per
@@ -174,34 +171,26 @@ def mc_expect_complex_gaussian(
     Parameters
     ----------
     f : callable
-        Real-valued function of one complex argument, vectorised: a complex
-        ndarray of samples in, a float ndarray of the same shape out. It is
-        called at the same time from several threads, on disjoint pieces of
-        the sample stream, so it must be thread-safe.
-    variance : float
-        E|N|^2, in [1e-300, 1e300].
+        Vectorised real-valued function: a complex ndarray of samples in, a
+        float ndarray of the same shape out. It is called at the same time
+        from several threads, on disjoint pieces of the sample stream, so it
+        must be thread-safe.
     cfg : MCConfig
         Sample count and seed.
 
     Returns
     -------
     (mean, stderr) : tuple of float
-        Sample mean and its standard error. Identical (seed, samples,
-        variance, f) reproduce the result bit for bit, whatever the number
-        of cores.
+        Sample mean and its standard error. Identical (seed, samples, f)
+        reproduce the result bit for bit, whatever the number of cores.
     """
     # Imported here, so that runs without Monte-Carlo do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    stream = ComplexGaussianStream(variance, cfg)
+    stream = ComplexGaussianStream(cfg)
 
     def piece(start: int) -> tuple[int, float, float]:
-        z = stream.take(start, min(_PIECE, cfg.samples - start))
-        values = np.asarray(f(z), dtype=float)
-        if values.shape != z.shape:
-            raise ValueError(
-                f"integrand must return an array of shape {z.shape}, got shape {values.shape}"
-            )
+        values = f(stream.take(start, min(_PIECE, cfg.samples - start)))
         if not np.all(np.isfinite(values)):
             k = int(np.argwhere(~np.isfinite(values))[0][0])
             raise ValueError(

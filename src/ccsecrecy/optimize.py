@@ -16,7 +16,7 @@ import numpy as np
 
 from .capacity import WiretapChannel, cc_secrecy_capacity, db_to_linear
 from .constellation import Constellation
-from .integrate import gauss_hermite
+from .integrate import HermiteRule, gauss_hermite
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -149,9 +149,9 @@ def find_secrecy_maximum(
 
 def _refine(
     c: Constellation, sigma_sq: float, grid: np.ndarray, values: np.ndarray,
-    opts: SearchOptions,
+    opts: SearchOptions, rule: HermiteRule,
 ) -> MaximumResult:
-    """The refined maximum of one noise ratio's scan."""
+    """The refined maximum of one noise ratio's scan, evaluated with the rule."""
     if float(values.max()) <= NEGLIGIBLE:
         raise ValueError(
             "no interior maximum: secrecy capacity is negligible over the scan range"
@@ -168,8 +168,6 @@ def _refine(
             "no interior grid local maximum; widen the scan window so the peak "
             "does not sit on its edge"
         )
-
-    rule = gauss_hermite(opts.gh_order)
 
     def objective(db: float) -> float:
         ch = WiretapChannel(db_to_linear(db), sigma_sq)
@@ -218,4 +216,5 @@ def sweep_max_vs_sigma(
         raise ValueError("noise ratios must be strictly ascending")
     opts = opts or SearchOptions()
     grid, curves = scan_secrecy_grid(c, np.array(sigmas, dtype=float)[:, None], opts)
-    return [_refine(c, s, grid, values, opts) for s, values in zip(sigmas, curves)]
+    rule = gauss_hermite(opts.gh_order)
+    return [_refine(c, s, grid, values, opts, rule) for s, values in zip(sigmas, curves)]

@@ -508,9 +508,9 @@ def _mc_with_kernel(monkeypatch, c, snr, variance, cfg):
     seen = []
     real = capacity.mc_expect_complex_gaussian
 
-    def spy(f, var, config):
+    def spy(f, config):
         seen.append(f)
-        return real(f, var, config)
+        return real(f, config)
 
     monkeypatch.setattr(capacity, "mc_expect_complex_gaussian", spy)
     est = cc_mutual_information_mc(c, snr, variance, cfg)
@@ -526,9 +526,9 @@ def test_mc_kernel_matches_direct_sum(monkeypatch, name):
         for variance in (1.0, 5.0, 20.0):
             snr = 10.0 ** (db / 10.0)
             est, kernel = _mc_with_kernel(monkeypatch, c, snr, variance, cfg)
-            n = integrate.ComplexGaussianStream(variance, cfg).take(0, cfg.samples)
-            want = _direct_mc_values(c.points, snr, variance, n)
-            got = kernel(n)
+            w = integrate.ComplexGaussianStream(cfg).take(0, cfg.samples)
+            want = _direct_mc_values(c.points, snr, variance, math.sqrt(variance) * w)
+            got = kernel(w)
             assert np.max(np.abs(got - want)) <= 1e-12, (db, variance)
             raw = math.log2(m / math.e) - want.mean()
             bits = min(max(raw, 0.0), math.log2(m))
@@ -539,18 +539,17 @@ def test_mc_kernel_matches_direct_sum(monkeypatch, name):
 
 def test_mc_kernel_finite_at_largest_stream_radius(monkeypatch):
     # The stream's uniforms are k * 2^-53 with k < 2^53, so its largest
-    # radius is |n|^2 = -variance * ln(2^-53); at 60 dB the qam64 offsets
-    # are about 1e3 times larger.
+    # radius is |w|^2 = -ln(2^-53); at 60 dB the qam64 offsets are about
+    # 1e3 times larger.
     c = make_qam(64)
     snr = 1e6
     angles = np.concatenate([np.arange(8) * math.pi / 4, [0.1, 2.0, 4.5]])
+    w = math.sqrt(-math.log(2.0 ** -53)) * np.exp(1j * angles)
     for variance in (1.0, 20.0):
         _, kernel = _mc_with_kernel(monkeypatch, c, snr, variance, MCConfig(2, 0))
-        radius = math.sqrt(-variance * math.log(2.0 ** -53))
-        n = radius * np.exp(1j * angles)
-        got = kernel(n)
+        got = kernel(w)
         assert np.all(np.isfinite(got))
-        want = _direct_mc_values(c.points, snr, variance, n)
+        want = _direct_mc_values(c.points, snr, variance, math.sqrt(variance) * w)
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -604,9 +603,54 @@ def test_mc_kernel_in_blocks_of_rows_matches_direct_sum(monkeypatch, name, budge
     for db in (-10.0, 10.0, 40.0):
         snr = 10.0 ** (db / 10.0)
         _, kernel = _mc_with_kernel(monkeypatch, c, snr, 2.0, cfg)
-        n = integrate.ComplexGaussianStream(2.0, cfg).take(0, cfg.samples)
-        want = _direct_mc_values(c.points, snr, 2.0, n)
-        assert np.max(np.abs(kernel(n) - want)) <= 1e-12, db
+        w = integrate.ComplexGaussianStream(cfg).take(0, cfg.samples)
+        want = _direct_mc_values(c.points, snr, 2.0, math.sqrt(2.0) * w)
+        assert np.max(np.abs(kernel(w) - want)) <= 1e-12, db
+
+
+# float.hex of (bits, error_bound) per (name, dB, variance), seed 7, recorded
+# while the stream still drew CN(0, variance) samples. qam16 and psk8 take
+# 20,000 samples, psk300 2,000 with its coefficients in 5 blocks of rows; at
+# 50 dB the exponent clamp runs. At variance 1 the noise-unit estimator takes
+# the same float steps; at 20 it scales the offsets by sqrt(snr / 20) rather
+# than the samples by sqrt(20), which may move the last bits.
+FROZEN_MC_PINS = {
+    ("qam16", 10, 1.0): ("0x1.95992e8f86d7cp+1", "0x1.b2749cd2b4ff0p-9"),
+    ("qam16", 10, 20.0): ("0x1.2efcbd590e7f8p-1", "0x1.c29d96b773d8cp-8"),
+    ("qam16", 50, 1.0): ("0x1.0000000000000p+2", "0x1.a1cce09a0f800p-7"),
+    ("qam16", 50, 20.0): ("0x1.0000000000000p+2", "0x1.a1cce09a0f800p-7"),
+    ("psk8", 10, 1.0): ("0x1.57e1dc0e69f94p+1", "0x1.a60b687d7f366p-8"),
+    ("psk8", 10, 20.0): ("0x1.2e52008a85971p-1", "0x1.c497685f2eee8p-8"),
+    ("psk8", 50, 1.0): ("0x1.8000000000000p+1", "0x1.a1cce09a0f700p-7"),
+    ("psk8", 50, 20.0): ("0x1.8000000000000p+1", "0x1.a1cce09a0f700p-7"),
+    ("psk300", 10, 1.0): ("0x1.5c284b1229c02p+1", "0x1.f671d8b9519a5p-7"),
+    ("psk300", 10, 20.0): ("0x1.180ee9d74fe10p-1", "0x1.5c4f131e1bd45p-6"),
+    ("psk300", 50, 1.0): ("0x1.059f3f6febd92p+3", "0x1.02c48eb442dfep-5"),
+    ("psk300", 50, 20.0): ("0x1.ce2b7462d3a74p+2", "0x1.03746bcd6338fp-6"),
+}
+
+
+def test_mc_estimates_are_pinned_to_full_precision():
+    sets = {"qam16": (make_qam(16), 20_000), "psk8": (make_psk(8), 20_000),
+            "psk300": (make_psk(300), 2_000)}
+    for (name, db, variance), (bits, bound) in FROZEN_MC_PINS.items():
+        c, samples = sets[name]
+        est = cc_mutual_information_mc(c, db_to_linear(db), variance, MCConfig(samples, 7))
+        if variance == 1.0:
+            assert (est.bits.hex(), est.error_bound.hex()) == (bits, bound), (name, db)
+        else:
+            assert abs(est.bits - float.fromhex(bits)) <= 1e-15, (name, db)
+            assert abs(est.error_bound - float.fromhex(bound)) <= 1e-15, (name, db)
+
+
+def test_mc_mi_depends_on_snr_over_variance_only():
+    # One CN(0, 1) draw serves every variance: the kernel sees only
+    # sqrt(snr / variance), and these ratios are all exactly 10.
+    cfg = MCConfig(5000, 2024)
+    for c in (make_qam(16), make_psk(8)):
+        unit = cc_mutual_information_mc(c, 10.0, 1.0, cfg)
+        for snr, variance in ((40.0, 4.0), (2.5, 0.25), (200.0, 20.0)):
+            assert cc_mutual_information_mc(c, snr, variance, cfg) == unit, (c.name, variance)
 
 
 @pytest.mark.parametrize("samples", [3, 2**16 + 3, 2**19 + 1, 10**6])

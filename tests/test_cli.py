@@ -677,7 +677,7 @@ def test_public_surface():
         "cc_secrecy_capacity", "db_to_linear",
         "find_secrecy_maximum", "from_points", "gauss_hermite", "gaussian_channel_capacity",
         "gaussian_secrecy_capacity", "make_bpsk", "make_psk", "make_qam",
-        "mc_expect_complex_gaussian", "min_distance", "scan_secrecy_grid",
+        "min_distance", "scan_secrecy_grid",
         "sweep_max_vs_sigma",
     ])
     # The rate functions take no test-only options.

@@ -86,7 +86,7 @@ def test_refine_keeps_a_grid_point_above_the_refined_peak():
     # golden section lands below the coarse 0.9 and the grid point is kept.
     grid = np.array([-5.0, 0.0, 5.0])
     values = np.array([0.1, 0.9, 0.1])
-    best = optimize._refine(make_bpsk(), 5.0, grid, values, FAST)
+    best = optimize._refine(make_bpsk(), 5.0, grid, values, FAST, gauss_hermite(FAST.gh_order))
     assert (best.snr_max_db, best.c_max, best.bracket) == (0.0, 0.9, (-5.0, 5.0))
     assert best.iterations > 0
 
