@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical or domain error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -308,7 +309,14 @@ def run_cli(args: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """Console entry point: run_cli on sys.argv, then exit with its code.
+
+    The command freezes the garbage collector before it exits; run_cli, the
+    in-process entry, leaves gc untouched.
+    """
+    code = run_cli(sys.argv[1:])
+    gc.freeze()  # the interpreter's exit-time collections then skip numpy's ~20k tracked objects
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -99,8 +100,9 @@ def _checked_channel(snr, variance) -> tuple[np.ndarray, np.ndarray]:
     return snr, variance
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's rule
 def gauss_hermite(n: int) -> HermiteRule:
-    """Compute the order-n Gauss-Hermite quadrature rule.
+    """Compute the order-n Gauss-Hermite quadrature rule, once per order.
 
     The rule satisfies sum_k w_k f(t_k) ~= integral of f(t) exp(-t^2) dt and
     is exact for polynomials of degree <= 2n - 1.
@@ -114,6 +116,8 @@ def gauss_hermite(n: int) -> HermiteRule:
     -------
     HermiteRule
         Ascending symmetric nodes and positive weights summing to sqrt(pi).
+        Calls with the same order share it; it is frozen and its arrays are
+        read-only.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {n}")

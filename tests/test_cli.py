@@ -1,9 +1,15 @@
 import argparse
+import gc
 import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccsecrecy import MCConfig, cc_mutual_information, cc_mutual_information_mc, gauss_hermite
@@ -872,3 +878,68 @@ def test_max_sweep_json_keeps_its_values_and_adds_the_search_keys(tmp_path):
     for row, old in zip(payload["rows"], FROZEN_MAX_SWEEP_JSON["rows"]):
         assert {k: row[k] for k in old} == old
         assert set(row) - set(old) == {"bracket", "grid_local_maxima", "iterations"}
+
+
+def test_max_sweep_builds_the_quadrature_rule_once(monkeypatch, tmp_path):
+    # The scan and the refinement both ask for the order-32 rule.
+    calls = []
+    real = np.polynomial.hermite.hermgauss
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    gauss_hermite.cache_clear()
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", spy)
+    args = ["max-sweep", "--constellation", "bpsk", "--sigma2", "5,10,15,20"]
+    assert run_cli(args + ["--out", str(tmp_path / "max.csv")]) == 0
+    assert calls == [32]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_module(args, cwd):
+    """Run `python -m ccsecrecy.cli ARGS` in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "ccsecrecy.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_module_entry_point_writes_the_in_process_bytes(tmp_path, capsys):
+    args = ["sweep", "--constellation", "qam4", "--snr-db", "0:10:5", "--sigma2", "5"]
+    assert run_cli(args) == 0
+    want = capsys.readouterr().out.encode()
+    assert run_cli(args + ["--out", str(tmp_path / "in_process.csv")]) == 0
+    assert (tmp_path / "in_process.csv").read_bytes() == want
+
+    child = _run_module(args, tmp_path)
+    assert (child.returncode, child.stdout) == (0, want)
+    child = _run_module(args + ["--out", "child.csv"], tmp_path)
+    assert (child.returncode, child.stdout) == (0, b"")
+    assert (tmp_path / "child.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "selector, code, prefix", [("nope", 1, b"usage error:"), ("qam0", 2, b"error:")]
+)
+def test_module_entry_point_exit_codes(selector, code, prefix, tmp_path):
+    child = _run_module(["mi", "--constellation", selector, "--snr-db", "0"], tmp_path)
+    assert child.returncode == code
+    assert child.stdout == b""
+    assert child.stderr.startswith(prefix)
+
+
+def test_only_the_console_entry_point_freezes_the_collector(monkeypatch, tmp_path):
+    frozen = gc.get_freeze_count()
+    assert run_cli(["constellation", "--constellation", "qam4",
+                    "--out", str(tmp_path / "points.csv")]) == 0
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["ccsecrecy", "constellation", "--constellation", "qam0"])
+    try:
+        with pytest.raises(SystemExit) as exit_request:
+            cli.main()
+        assert exit_request.value.code == 2
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()

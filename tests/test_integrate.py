@@ -52,6 +52,17 @@ def test_rule_rejects_bad_orders(bad):
         gauss_hermite(bad)
 
 
+def test_each_rule_is_built_once_and_errors_are_not_cached():
+    assert gauss_hermite(7) is gauss_hermite(7)
+    assert not gauss_hermite(7).nodes.flags.writeable
+    for _ in range(2):
+        with pytest.raises(ValueError, match="order"):
+            gauss_hermite(0)
+    # A float order is still refused after the int of the same value is cached.
+    with pytest.raises(TypeError, match="integer"):
+        gauss_hermite(7.0)
+
+
 def tensor_expectation(f, variance, rule):
     """(1/pi) sum_ab w_a w_b f(z_ab) on the full grid z = sqrt(variance)(t_a + i t_b)."""
     t, w = rule.nodes, rule.weights
