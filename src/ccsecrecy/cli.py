@@ -172,7 +172,7 @@ def _cmd_rates(ns) -> int:
     sigmas = _parse_sigma_list(ns.sigma2)
     c = parse_constellation_selector(ns.constellation)
     # The channel rejects a ratio below 1 before any rate is computed.
-    gc = gaussian_secrecy_capacity(WiretapChannel(snr, np.array(sigmas)[:, None])).tolist()
+    gauss_sc = gaussian_secrecy_capacity(WiretapChannel(snr, np.array(sigmas)[:, None])).tolist()
     variances = list(dict.fromkeys((1.0, *sigmas)))
     if ns.mc_samples is None:
         rule = gauss_hermite(ns.gh_order)
@@ -189,9 +189,9 @@ def _cmd_rates(ns) -> int:
     caps = [gaussian_channel_capacity(s) for s in snr]
     rows = [
         dict(zip(RATE_COLUMNS, (c.name, db, sigma_sq, main[k], eve[k],
-                                max(0.0, main[k] - eve[k]), gc_row[k], caps[k])))
+                                max(0.0, main[k] - eve[k]), gauss_row[k], caps[k])))
         for k, db in enumerate(snr_db)
-        for sigma_sq, eve, gc_row in zip(sigmas, eves, gc)
+        for sigma_sq, eve, gauss_row in zip(sigmas, eves, gauss_sc)
     ]
     return _emit(ns, RATE_COLUMNS, rows, **meta)
 

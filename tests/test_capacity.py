@@ -643,6 +643,25 @@ def test_mc_estimates_are_pinned_to_full_precision():
             assert abs(est.error_bound - float.fromhex(bound)) <= 1e-15, (name, db)
 
 
+# Sample counts whose last piece leaves one sample after the kernel's last
+# full block of samples (qam16 axes take 4096 a block, psk8 1024, rect6's
+# 3-level axis 7281): matmul evaluates a block of one row by other BLAS
+# routines than a block of several. Frozen at seed 7, 10 dB, variance 1,
+# from the code that evaluated each whole piece at once.
+FROZEN_MC_TAIL_PINS = {
+    ("qam16", 2**16 + 4097): ("0x1.954aaba307622p+1", "0x1.d44a4f7620095p-10"),
+    ("psk8", 2**16 + 1025): ("0x1.5725fc76de1c1p+1", "0x1.cf16c7071e516p-9"),
+    ("rect6", 2**16 + 7282): ("0x1.3afe312443024p+1", "0x1.155ab6a613c2fp-8"),
+}
+
+
+@pytest.mark.parametrize("name, samples", list(FROZEN_MC_TAIL_PINS))
+def test_mc_estimates_with_a_lone_tail_sample_are_pinned(name, samples):
+    c = KERNEL_CONSTELLATIONS[name]()
+    est = cc_mutual_information_mc(c, db_to_linear(10), 1.0, MCConfig(samples, 7))
+    assert (est.bits.hex(), est.error_bound.hex()) == FROZEN_MC_TAIL_PINS[name, samples]
+
+
 def test_mc_mi_depends_on_snr_over_variance_only():
     # One CN(0, 1) draw serves every variance: the kernel sees only
     # sqrt(snr / variance), and these ratios are all exactly 10.
@@ -663,12 +682,38 @@ def test_mc_mi_does_not_depend_on_the_core_count(monkeypatch, samples):
     assert estimates[0] == estimates[1]
 
 
+# A piece is drawn and evaluated a sub-block at a time; no sample's value may
+# depend on the sub-block it falls in, down to one sample, on any CPU. 2^16 + 3
+# samples end on a short piece. A sub-block of one sample makes one kernel
+# call per sample, so it runs on 2^11 + 3 samples, which is all one sub-block
+# at the default size.
+@pytest.mark.parametrize("sub_block, samples", [
+    (1, 2**11 + 3),
+    (1000, 2**16 + 3),
+    (4097, 2**16 + 3),
+    (2**16, 2**16 + 3),
+    (2**17, 2**16 + 3),
+])
+def test_mc_estimates_do_not_depend_on_the_sub_block(monkeypatch, sub_block, samples):
+    cfg = MCConfig(samples, 5)
+    sets = [KERNEL_CONSTELLATIONS[name]() for name in ("qam16", "psk8", "rect6", "asym16")]
+
+    def estimates():
+        return [cc_mutual_information_mc(c, db_to_linear(db), 1.0, cfg)
+                for c in sets for db in (10, 40)]
+
+    want = estimates()
+    monkeypatch.setattr(integrate, "_SUB_BLOCK", sub_block)
+    assert estimates() == want
+
+
 def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
-    # Each of the two workers holds one 2^16-sample piece of draws and
-    # temporaries, about 4.5 MiB, and hands back only three numbers; no
-    # buffer spans more than a piece. That measures about 9 to 10.3 MiB
-    # traced, so 12 MiB fails any design that also holds a 4 MiB buffer of
-    # 2^19 values (13 to 14.4 MiB) or draws them at once (about 36 MiB).
+    # Each of the two workers keeps one 2^16-sample piece of values, 0.5 MiB,
+    # and draws and evaluates it a 2^13-sample sub-block at a time, in
+    # buffers of about 1.2 MiB that it keeps for the call; it hands back only
+    # three numbers. That measures about 3.4 to 4.7 MiB traced, so 7 MiB fails
+    # a worker that draws or evaluates a whole piece at once (9 to 10.3 MiB),
+    # or any design that holds a 4 MiB buffer of 2^19 values.
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     tracemalloc.start()
     try:
@@ -677,7 +722,7 @@ def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
     finally:
         tracemalloc.stop()
     assert 0.0 < est.bits <= 1.0
-    assert peak <= 12 * 2**20, peak
+    assert peak <= 7 * 2**20, peak
 
 
 def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):

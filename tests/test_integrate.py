@@ -1,5 +1,7 @@
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,16 +144,17 @@ def test_mc_reports_the_first_nonfinite_sample_across_pieces():
 def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
     # At most four pieces per worker are submitted ahead of the merge. So on
     # two workers, while a slow first piece fails, the other worker draws at
-    # most seven more pieces of the 64, however fast it runs.
+    # most seven more pieces of the 64, however fast it runs. A piece is
+    # drawn a sub-block at a time, so the draws are counted by piece.
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     cfg = MCConfig(2**22, 3)
     first = integrate.ComplexGaussianStream(cfg).take(0, 1)[0]
-    drawn = []
+    drawn = set()
     real = integrate.ComplexGaussianStream.take
 
-    def take(self, start, count):
-        drawn.append(start)
-        return real(self, start, count)
+    def take(self, start, count, out=None):
+        drawn.add(start // 2**16)
+        return real(self, start, count, out)
 
     def f(z):
         if z[0] == first:
@@ -212,6 +215,40 @@ def test_stream_is_seekable_by_index():
     block = stream.take(0, 40)
     assert np.array_equal(stream.take(5, 10), block[5:15])
     assert np.array_equal(stream.take(17, 3), block[17:20])
+
+
+def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
+    # Takes that cross sub-blocks, or fill a caller's array, all give the
+    # samples of the class docstring.
+    monkeypatch.setattr(integrate, "_SUB_BLOCK", 7)
+    bit_gen = np.random.Philox(key=5)
+    bit_gen.advance(3)
+    u = np.random.Generator(bit_gen).random((60, 4))
+    want = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+    stream = integrate.ComplexGaussianStream(MCConfig(10, 5))
+    out = np.zeros(50, dtype=complex)
+    got = [stream.take(3, 20), stream.take(23, 1),
+           stream.take(24, 39, out=out), stream.take(10, 5)]
+    assert np.array_equal(np.concatenate(got[:3]), want)
+    assert np.array_equal(got[3], want[7:12])
+    assert np.all(out[39:] == 0)
+
+
+def test_stream_can_be_shared_between_threads(monkeypatch):
+    # Four threads take from one stream, switching every microsecond; each
+    # take gives what a lone take of the same range gives.
+    monkeypatch.setattr(integrate, "_SUB_BLOCK", 5)
+    stream = integrate.ComplexGaussianStream(MCConfig(10, 3))
+    starts = [97 * k for k in range(64)]
+    want = [stream.take(start, 50) for start in starts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda start: stream.take(start, 50), starts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_stream_moments():
