@@ -8,9 +8,7 @@ main-channel noise to unit variance. All rates are in bits per channel use.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 import numpy as np
 
@@ -329,86 +327,62 @@ def _mc_coefficients(levels: tuple[np.ndarray, ...], rows: slice, ratio: float) 
     return np.stack([-2.0 * d for d in offsets] + [-sum(d ** 2 for d in offsets)])
 
 
-def _mc_block(levels: tuple[np.ndarray, ...], ratio: float, span: int,
-              first: int) -> tuple[np.ndarray, bool, int]:
-    """_mc_coefficients of rows [first, first + span) as (width, r * k),
-    whether their exponents need the clamp, and the samples per block."""
-    coef = _mc_coefficients(levels, slice(first, first + span), ratio)
-    width, r, k = coef.shape
-    clamp = -coef[-1].min() > _MC_CLAMP_FREE
-    return coef.reshape(width, r * k), clamp, max(1, _MC_BLOCK_BYTES // (8 * r * k))
-
-
-class _MeanLogMixture:
+def _add_mean_log_mixture(out: np.ndarray, coords: list[np.ndarray],
+                          levels: tuple[np.ndarray, ...], ratio: float) -> None:
     """Adds mean_i log sum_j exp(e_sij), with e_s = [*coords_s, 1] @ coef, to out[s].
 
     levels holds the factor's point coordinates, one array per axis, and coef
-    = _mc_coefficients(levels, rows, ratio). The coefficients are taken a
-    block of rows i at a time, each block within _MC_BLOCK_BYTES (one row at
-    least), so that memory does not grow with k^2, and each block adds its
-    share of the mean over the k points. The last block built is kept: a
-    factor whose coefficients fit one block (every set of up to 147 points,
-    every axis of up to 181 levels) builds it once, and a larger one builds
-    each block as add passes over it, which costs little beside its k^2
-    exponentials per sample. Samples are taken in blocks whose exponents fit
-    _MC_BLOCK_BYTES (one sample at least), so the buffers do not grow with
-    the sample count. The Monte-Carlo pieces call add at the same time, so
-    each thread keeps its own buffers, grown to the largest block of samples
-    it has been given.
+    = _mc_coefficients(levels, rows, ratio). The coefficients are built a
+    block of rows i at a time, on every call, each block within
+    _MC_BLOCK_BYTES (one row at least), so that memory does not grow with
+    k^2, and each block adds its share of the mean over the k points. Every
+    set of up to 147 points, and every axis of up to 181 levels, fits one
+    block. Samples are taken in blocks whose exponents fit _MC_BLOCK_BYTES
+    (one sample at least), so the buffers, which live for the call, do not
+    grow with the sample count.
     """
-
-    def __init__(self, levels: tuple[np.ndarray, ...], ratio: float):
-        self.k = levels[0].size
-        self.span = max(1, _MC_BLOCK_BYTES // (8 * (len(levels) + 1) * self.k))
-        self.block = lru_cache(maxsize=1)(partial(_mc_block, levels, ratio, self.span))
-        self.ones = np.ones(self.k)
-        self.local = threading.local()
-
-    def _buffer(self, size: int) -> np.ndarray:
-        """The calling thread's buffer of at least size floats."""
-        buf = getattr(self.local, "buf", None)
-        if buf is None or buf.size < size:
-            buf = self.local.buf = np.empty(size)
-        return buf
-
-    def add(self, out: np.ndarray, coords: list[np.ndarray]) -> None:
-        k, ones = self.k, self.ones
-        for coef, clamp, step in map(self.block, range(0, k, self.span)):
-            width, rk = coef.shape
-            r = rk // k
-            b = min(step, max(out.size, 2))
-            buf = self._buffer(b * (width + rk + r + 1))
-            rows = buf[:b * width].reshape(b, width)
-            rows[:, -1] = 1.0
-            expo = buf[b * width:b * (width + rk)].reshape(b, rk)
-            logs = buf[b * (width + rk):b * (width + rk + r)]
-            means = buf[b * (width + rk + r):b * (width + rk + r + 1)]
-            for lo in range(0, out.size, step):
-                # matmul runs one row through other BLAS routines than it
-                # runs two (gemv and dot rather than gemm and gemv), which
-                # round differently. So a lone sample after the last full
-                # block is evaluated twice, as a block of two, and no sample
-                # takes another value for where the blocks end.
-                n = min(step, out.size - lo)
-                b = 2 if n == 1 < step else n
-                for col, x in enumerate(coords):
-                    rows[:b, col] = x[lo:lo + n]
-                e = np.matmul(rows[:b], coef, out=expo[:b])
-                # No max shift is needed: each exponent is at most |w|^2, which
-                # for a stream sample is -ln(1 - u) < 37 since u <= 1 - 2^-53, so
-                # exp cannot overflow; the j = i term is exactly exp(0) = 1, so
-                # every log argument is at least 1. The clamp keeps exp off its
-                # slow path for subnormal and zero results: a clamped term,
-                # exp(-700) ~ 1e-304, sits in a sum beside that 1 and cannot
-                # change it.
-                if clamp:
-                    np.maximum(e, _EXP_FLOOR, out=e)
-                np.exp(e, out=e)
-                s = np.matmul(e.reshape(b * r, k), ones, out=logs[:b * r])
-                np.log(s, out=s)
-                mean = np.matmul(s.reshape(b, r), ones[:r], out=means[:b])
-                mean /= k
-                out[lo:lo + n] += mean[:n]
+    k = levels[0].size
+    width = len(levels) + 1
+    span = max(1, _MC_BLOCK_BYTES // (8 * width * k))
+    ones = np.ones(k)
+    for first in range(0, k, span):
+        coef = _mc_coefficients(levels, slice(first, first + span), ratio)
+        r = coef.shape[1]
+        clamp = -coef[-1].min() > _MC_CLAMP_FREE
+        coef = coef.reshape(width, r * k)
+        step = max(1, _MC_BLOCK_BYTES // (8 * r * k))
+        b = min(step, max(out.size, 2))
+        rows = np.empty((b, width))
+        rows[:, -1] = 1.0
+        expo = np.empty((b, r * k))
+        logs = np.empty(b * r)
+        means = np.empty(b)
+        for lo in range(0, out.size, step):
+            # matmul runs one row through other BLAS routines than it
+            # runs two (gemv and dot rather than gemm and gemv), which
+            # round differently. So a lone sample after the last full
+            # block is evaluated twice, as a block of two, and no sample
+            # takes another value for where the blocks end.
+            n = min(step, out.size - lo)
+            b = 2 if n == 1 < step else n
+            for col, x in enumerate(coords):
+                rows[:b, col] = x[lo:lo + n]
+            e = np.matmul(rows[:b], coef, out=expo[:b])
+            # No max shift is needed: each exponent is at most |w|^2, which
+            # for a stream sample is -ln(1 - u) < 37 since u <= 1 - 2^-53, so
+            # exp cannot overflow; the j = i term is exactly exp(0) = 1, so
+            # every log argument is at least 1. The clamp keeps exp off its
+            # slow path for subnormal and zero results: a clamped term,
+            # exp(-700) ~ 1e-304, sits in a sum beside that 1 and cannot
+            # change it.
+            if clamp:
+                np.maximum(e, _EXP_FLOOR, out=e)
+            np.exp(e, out=e)
+            s = np.matmul(e.reshape(b * r, k), ones, out=logs[:b * r])
+            np.log(s, out=s)
+            mean = np.matmul(s.reshape(b, r), ones[:r], out=means[:b])
+            mean /= k
+            out[lo:lo + n] += mean[:n]
 
 
 def cc_mutual_information_mc(
@@ -441,13 +415,12 @@ def cc_mutual_information_mc(
         factors = [((0, 1), (c.points.real, c.points.imag))]
     else:
         factors = [((axis,), (levels,)) for axis, levels in enumerate(c.axes) if levels.size > 1]
-    factors = [(picks, _MeanLogMixture(levels, ratio)) for picks, levels in factors]
 
     def pooled(w):
         axes = (w.real, w.imag)
         values = np.zeros(w.size)
-        for picks, factor in factors:
-            factor.add(values, [axes[a] for a in picks])
+        for picks, levels in factors:
+            _add_mean_log_mixture(values, [axes[a] for a in picks], levels, ratio)
         norm = np.square(axes[0])
         norm += np.square(axes[1])
         values -= norm

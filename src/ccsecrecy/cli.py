@@ -205,6 +205,8 @@ def _cmd_peaks(ns) -> int:
     sigmas = _parse_sigma_list(ns.sigma2)
     if ns.command == "maximize" and len(sigmas) != 1:
         raise UsageError("maximize takes a single --sigma2 value; use max-sweep for lists")
+    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
+        raise UsageError(f"--sigma2: max-sweep takes strictly ascending values, got {ns.sigma2!r}")
     c = parse_constellation_selector(ns.constellation)
     rows = [{"constellation": c.name, **asdict(r)} for r in sweep_max_vs_sigma(c, sigmas, opts)]
     return _emit(ns, PEAK_COLUMNS, rows, method="gauss_hermite", gh_order=opts.gh_order,

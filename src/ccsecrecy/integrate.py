@@ -145,38 +145,28 @@ class ComplexGaussianStream:
     so any index range can be regenerated independently of what was fetched
     before, and one draw serves every noise variance and SNR.
 
-    Threads may share a stream: each draws through uniforms of its own.
+    Threads may share a stream: a take keeps nothing between calls.
     """
 
     def __init__(self, cfg: MCConfig):
         self.cfg = cfg
-        self._buffers = threading.local()
 
-    def take(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    def take(self, start: int, count: int) -> np.ndarray:
         """Return samples [start, start + count) as a complex array.
 
-        The uniforms are drawn _SUB_BLOCK samples at a time into a buffer
-        that the stream keeps for the calling thread, so a take holds at most
-        a sub-block of them beside its result. If out is given, a complex
-        array of at least count samples, the samples are written to
-        out[:count], which is returned; a take of at most _SUB_BLOCK samples
-        then allocates nothing once the thread's buffer has grown to its size.
+        The uniforms are drawn _SUB_BLOCK samples at a time, so a take holds
+        at most a sub-block of them beside its result.
         """
         if start < 0 or count < 0:
             raise ValueError("sample indices must be nonnegative")
-        out = np.empty(count, dtype=complex) if out is None else out[:count]
+        out = np.empty(count, dtype=complex)
         bit_gen = np.random.Philox(key=self.cfg.seed)
         bit_gen.advance(start)
         generator = np.random.Generator(bit_gen)
-        buffers = self._buffers
-        size = min(count, _SUB_BLOCK)
-        if len(getattr(buffers, "radius", ())) < size:
-            buffers.uniforms = np.empty((size, _WORDS_PER_BLOCK))
-            buffers.radius = np.empty(size)
         for lo in range(0, count, _SUB_BLOCK):
             n = min(_SUB_BLOCK, count - lo)
-            u = generator.random(out=buffers.uniforms[:n])
-            radius = np.negative(u[:, 0], out=buffers.radius[:n])
+            u = generator.random((n, _WORDS_PER_BLOCK))
+            radius = np.negative(u[:, 0])
             np.log1p(radius, out=radius)
             np.negative(radius, out=radius)
             np.sqrt(radius, out=radius)
@@ -208,11 +198,13 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     The samples are summed up as (count, mean, M2) in fixed pieces of _PIECE
     samples, which a thread pool with one worker per available core runs at
     the same time. A piece is drawn and passed to f _SUB_BLOCK samples at a
-    time; each worker thread keeps one sub-block of samples and one piece
-    of values for the whole call, so no piece allocates them afresh. The
-    pieces are merged in sample order by the pairwise update of Chan, Golub
-    & LeVeque, four pieces per worker at a time, so a failing piece ends the
-    run without drawing the rest of the samples.
+    time; a sub-block's samples live only until f has returned. Only the
+    piece's values, 512 KiB, are kept: each worker thread reuses one buffer
+    of them for the whole call, because glibc gives a free block that large
+    back to the system, and a fresh one would fault in new pages for every
+    piece. The pieces are merged in sample order by the pairwise update of
+    Chan, Golub & LeVeque, four pieces per worker at a time, so a failing
+    piece ends the run without drawing the rest of the samples.
 
     Parameters
     ----------
@@ -220,8 +212,7 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
         Vectorised real-valued function: a complex ndarray of samples in, a
         float ndarray of the same shape out. It is called at the same time
         from several threads, on disjoint sub-blocks of the sample stream,
-        so it must be thread-safe. The array it is given is refilled after
-        it returns, so it must not keep it.
+        so it must be thread-safe.
     cfg : MCConfig
         Sample count and seed.
 
@@ -239,12 +230,11 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
 
     def piece(start: int) -> tuple[int, float, float]:
         if not hasattr(worker, "values"):
-            worker.samples = np.empty(min(_SUB_BLOCK, cfg.samples), dtype=complex)
             worker.values = np.empty(min(_PIECE, cfg.samples))
         values = worker.values[:min(_PIECE, cfg.samples - start)]
         for lo in range(0, values.size, _SUB_BLOCK):
             n = min(_SUB_BLOCK, values.size - lo)
-            values[lo:lo + n] = f(stream.take(start + lo, n, out=worker.samples))
+            values[lo:lo + n] = f(stream.take(start + lo, n))
         if not np.all(np.isfinite(values)):
             k = int(np.argwhere(~np.isfinite(values))[0][0])
             raise ValueError(

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -736,6 +737,22 @@ def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = cc_mutual_information_mc(make_qam(16), 10.0, 1.0, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_mc_calls_at_the_same_time_give_their_lone_results():
+    # Two calls from two user threads, switching every microsecond, each give
+    # what they give alone: no call keeps scratch that another call can reach.
+    cfg = MCConfig(2**18 + 3, 4)
+    sets = [make_qam(16), make_psk(8)]
+    want = [cc_mutual_information_mc(c, 10.0, 2.0, cfg) for c in sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda c: cc_mutual_information_mc(c, 10.0, 2.0, cfg), sets))
     finally:
         sys.setswitchinterval(interval)
     assert got == want

@@ -319,6 +319,15 @@ def test_maximize_rejects_sigma_list():
     ) == 1
 
 
+@pytest.mark.parametrize("sigmas", ["10,5", "5,5"])
+def test_max_sweep_rejects_a_sigma_list_out_of_order(sigmas, capsys):
+    # A usage error, found before the constellation is built: building qam7
+    # would be a domain error (exit 2).
+    for name in ("bpsk", "qam7"):
+        assert run_cli(["max-sweep", "--constellation", name, "--sigma2", sigmas]) == 1
+        assert "--sigma2: max-sweep takes strictly ascending" in capsys.readouterr().err
+
+
 def test_max_sweep_csv(tmp_path):
     out = tmp_path / "peaks.csv"
     assert run_cli(

@@ -152,9 +152,9 @@ def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
     drawn = set()
     real = integrate.ComplexGaussianStream.take
 
-    def take(self, start, count, out=None):
+    def take(self, start, count):
         drawn.add(start // 2**16)
-        return real(self, start, count, out)
+        return real(self, start, count)
 
     def f(z):
         if z[0] == first:
@@ -218,20 +218,17 @@ def test_stream_is_seekable_by_index():
 
 
 def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
-    # Takes that cross sub-blocks, or fill a caller's array, all give the
-    # samples of the class docstring.
+    # Takes that cross sub-blocks give the samples of the class docstring.
     monkeypatch.setattr(integrate, "_SUB_BLOCK", 7)
     bit_gen = np.random.Philox(key=5)
     bit_gen.advance(3)
     u = np.random.Generator(bit_gen).random((60, 4))
     want = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
     stream = integrate.ComplexGaussianStream(MCConfig(10, 5))
-    out = np.zeros(50, dtype=complex)
     got = [stream.take(3, 20), stream.take(23, 1),
-           stream.take(24, 39, out=out), stream.take(10, 5)]
+           stream.take(24, 39), stream.take(10, 5)]
     assert np.array_equal(np.concatenate(got[:3]), want)
     assert np.array_equal(got[3], want[7:12])
-    assert np.all(out[39:] == 0)
 
 
 def test_stream_can_be_shared_between_threads(monkeypatch):
