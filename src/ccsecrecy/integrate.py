@@ -106,6 +106,52 @@ def _checked_channel(snr, variance) -> tuple[np.ndarray, np.ndarray]:
     return snr, variance
 
 
+def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
+    """The degree-n Hermite polynomial, normed on the weight exp(-t^2), at x.
+
+    The three-term recurrence runs down from degree n, as numpy's
+    hermgauss runs it; the plain H_n would overflow for n >= 207.
+    """
+    if n == 0:
+        return np.full(x.shape, 1 / np.sqrt(np.sqrt(np.pi)))
+    c0 = 0.0
+    c1 = 1.0 / np.sqrt(np.sqrt(np.pi))
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(2.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x * np.sqrt(2)
+
+
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the order-n rule, as numpy.polynomial.hermite.hermgauss(n).
+
+    The same steps as hermgauss, so the same bits, without importing
+    numpy.polynomial: the nodes are the eigenvalues of the symmetric
+    tridiagonal matrix of the normed recurrence, polished by one Newton
+    step; the weights are 1 / p_{n-1}(x)^2, symmetrized and scaled to sum to
+    sqrt(pi).
+    """
+    if n == 1:
+        jacobi = np.array([[-0.0]])
+    else:
+        jacobi = np.zeros((n, n))
+        off = np.sqrt(0.5 * np.arange(1, n))
+        jacobi.flat[1::n + 1] = off
+        jacobi.flat[n::n + 1] = off
+    x = np.linalg.eigvalsh(jacobi)
+    dy = _normed_hermite(x, n)
+    df = _normed_hermite(x, n - 1) * np.sqrt(2 * n)
+    x -= dy / df
+    fm = _normed_hermite(x, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's rule
 def gauss_hermite(n: int) -> HermiteRule:
     """Compute the order-n Gauss-Hermite quadrature rule, once per order.
@@ -127,7 +173,7 @@ def gauss_hermite(n: int) -> HermiteRule:
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {n}")
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
+    nodes, weights = _hermite_rule(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return HermiteRule(n, nodes, weights)

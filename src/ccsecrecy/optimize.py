@@ -4,6 +4,11 @@ The search works on the decibel axis: a coarse scan brackets every strict
 local maximum of the secrecy-capacity curve, each bracket is refined by
 golden-section search, and the best refined point wins. The scan also audits
 the working assumption that the curve has a single interior peak.
+
+Both phases are batched over noise ratios: one secrecy call scans every
+ratio's curve, and the brackets of all ratios are refined in lockstep, one
+secrecy call per golden-section step, each bracket taking the steps it
+would take alone.
 """
 
 from __future__ import annotations
@@ -70,32 +75,44 @@ class MaximumResult:
     unimodal_ok: bool
 
 
-def _golden(f: Callable[[float], float], lo: float, hi: float, tol: float):
-    """Golden-section search for the maximum of f on [lo, hi].
+def _golden_lockstep(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
+):
+    """Golden-section search for the maximum of f on every bracket [lo_i, hi_i] at once.
 
-    Returns (x, f(x), iterations). x is within tol of the argmax when f is
-    unimodal on the bracket, or as close as float spacing allows.
+    f(points, which) returns f's values at the points, an array of their
+    shape; points[j] lies in bracket which[j]. The brackets move in lockstep:
+    each step asks f for one new point in every bracket still running, so a
+    bracket takes exactly the steps it would take searched alone. Returns
+    arrays (x, f(x), iterations) with one entry per bracket. x is within tol
+    of its bracket's argmax when f is unimodal there, or as close as float
+    spacing allows.
     """
-    a, b = lo, hi
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    every = np.arange(a.size)
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    # Once float spacing stops the bracket from shrinking, c and d collide
-    # with each other or an end, and a tolerance below that spacing would
-    # never be met.
-    while (b - a) > tol and a < c < d < b:
-        iterations += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
+    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([every, every])), 2)
+    iterations = np.zeros(a.size, dtype=int)
+    while True:
+        # Once float spacing stops a bracket from shrinking, c and d collide
+        # with each other or an end, and a tolerance below that spacing would
+        # never be met.
+        live = np.flatnonzero((b - a > tol) & (a < c) & (c < d) & (d < b))
+        if not live.size:
+            break
+        iterations[live] += 1
+        left = fc[live] >= fd[live]
+        lo_side, hi_side = live[left], live[~left]
+        b[lo_side], d[lo_side], fd[lo_side] = d[lo_side], c[lo_side], fc[lo_side]
+        c[lo_side] = b[lo_side] - INV_PHI * (b[lo_side] - a[lo_side])
+        a[hi_side], c[hi_side], fc[hi_side] = c[hi_side], d[hi_side], fd[hi_side]
+        d[hi_side] = a[hi_side] + INV_PHI * (b[hi_side] - a[hi_side])
+        values = f(np.where(left, c[live], d[live]), live)
+        fc[lo_side], fd[hi_side] = values[left], values[~left]
     x = 0.5 * (a + b)
-    return x, f(x), iterations
+    return x, f(x, every), iterations
 
 
 def grid_points(start: float, stop: float, step: float) -> np.ndarray:
@@ -139,60 +156,80 @@ def find_secrecy_maximum(
     """Locate the interior SNR maximizing secrecy capacity for one noise ratio.
 
     Scans the dB grid, counts strict interior local maxima above the
-    negligibility floor, refines each bracket by golden-section search, and
-    returns the best refined point (ties within 1e-9 bits go to the lower
-    SNR). unimodal_ok reports whether the scan saw exactly one local maximum.
-    This is the one-ratio case of sweep_max_vs_sigma.
+    negligibility floor, refines their brackets by golden-section search in
+    lockstep, one secrecy call per step, and returns the best refined point
+    (ties within 1e-9 bits go to the lower SNR; a grid point above its
+    refined value is kept). unimodal_ok reports whether the scan saw exactly
+    one local maximum. This is the one-ratio case of sweep_max_vs_sigma.
     """
     return sweep_max_vs_sigma(c, [sigma_sq], opts)[0]
 
 
-def _refine(
-    c: Constellation, sigma_sq: float, grid: np.ndarray, values: np.ndarray,
-    opts: SearchOptions, rule: HermiteRule,
-) -> MaximumResult:
-    """The refined maximum of one noise ratio's scan, evaluated with the rule."""
+def _grid_peaks(values: np.ndarray) -> np.ndarray:
+    """Indices of a scan's strict interior local maxima above NEGLIGIBLE.
+
+    Raises ValueError when the scan is negligible throughout or has no such
+    maximum.
+    """
     if float(values.max()) <= NEGLIGIBLE:
         raise ValueError(
             "no interior maximum: secrecy capacity is negligible over the scan range"
         )
-    peaks = [
-        k
-        for k in range(1, len(grid) - 1)
-        if values[k] > values[k - 1]
-        and values[k] > values[k + 1]
-        and values[k] > NEGLIGIBLE
-    ]
-    if not peaks:
+    inner = values[1:-1]
+    peaks = 1 + np.flatnonzero(
+        (inner > values[:-2]) & (inner > values[2:]) & (inner > NEGLIGIBLE)
+    )
+    if not peaks.size:
         raise ValueError(
             "no interior grid local maximum; widen the scan window so the peak "
             "does not sit on its edge"
         )
+    return peaks
 
-    def objective(db: float) -> float:
-        ch = WiretapChannel(db_to_linear(db), sigma_sq)
+
+def _refine(
+    c: Constellation, sigmas: Sequence[float], grid: np.ndarray, curves: np.ndarray,
+    opts: SearchOptions, rule: HermiteRule,
+) -> list[MaximumResult]:
+    """The refined maximum of each noise ratio's scan (one row of curves each).
+
+    Every scan is checked for grid peaks before any is refined, so the first
+    ratio without one raises. Then the brackets of all ratios are refined
+    together, one secrecy call with the rule per golden-section step.
+    """
+    peaks = [_grid_peaks(values) for values in curves]
+    ks = np.concatenate(peaks)
+    owner = np.repeat(np.arange(len(sigmas)), [p.size for p in peaks])
+    bracket_sigma = np.asarray(sigmas, dtype=float)[owner]
+
+    def objective(points: np.ndarray, which: np.ndarray) -> np.ndarray:
+        ch = WiretapChannel(db_to_linear(points), bracket_sigma[which])
         return cc_secrecy_capacity(c, ch, rule).bits
 
-    best = None
-    for k in peaks:
-        lo, hi = float(grid[k - 1]), float(grid[k + 1])
-        x, fx, iterations = _golden(objective, lo, hi, opts.tol_db)
-        if fx < values[k]:
-            # Keep the coarse grid point when refinement lands a hair lower.
-            x, fx = float(grid[k]), float(values[k])
-        if best is None or fx > best[1] + TIE_TOL:
-            best = (x, fx, (lo, hi), iterations)
-    x, fx, bracket, iterations = best
-    return MaximumResult(
-        sigma_sq=sigma_sq,
-        snr_max_db=x,
-        snr_max_linear=db_to_linear(x),
-        c_max=fx,
-        bracket=bracket,
-        grid_local_maxima=len(peaks),
-        iterations=iterations,
-        unimodal_ok=len(peaks) == 1,
-    )
+    xs, fxs, steps = _golden_lockstep(objective, grid[ks - 1], grid[ks + 1], opts.tol_db)
+    results = []
+    for r, (sigma_sq, values) in enumerate(zip(sigmas, curves)):
+        best = None
+        for j in np.flatnonzero(owner == r):
+            k = ks[j]
+            x, fx = float(xs[j]), float(fxs[j])
+            if fx < values[k]:
+                # Keep the coarse grid point when refinement lands a hair lower.
+                x, fx = float(grid[k]), float(values[k])
+            if best is None or fx > best[1] + TIE_TOL:
+                best = (x, fx, (float(grid[k - 1]), float(grid[k + 1])), int(steps[j]))
+        x, fx, bracket, iterations = best
+        results.append(MaximumResult(
+            sigma_sq=sigma_sq,
+            snr_max_db=x,
+            snr_max_linear=db_to_linear(x),
+            c_max=fx,
+            bracket=bracket,
+            grid_local_maxima=len(peaks[r]),
+            iterations=iterations,
+            unimodal_ok=len(peaks[r]) == 1,
+        ))
+    return results
 
 
 def sweep_max_vs_sigma(
@@ -201,8 +238,12 @@ def sweep_max_vs_sigma(
     """Refined secrecy maximum for each noise ratio in an ascending list.
 
     One scan covers every ratio, so the main-channel curve is computed once,
-    and each ratio's scan is then refined as find_secrecy_maximum describes.
-    A ratio's result does not depend on the other ratios in the list.
+    and each ratio's scan is then refined as find_secrecy_maximum describes,
+    with the brackets of every ratio sharing each step's secrecy call. A
+    ratio's result does not depend on the other ratios in the list, except
+    that c_max may differ from a search for that ratio alone in the last
+    bits (at most 4e-15 bits), because an array call can round a point
+    differently.
     """
     sigmas = list(sigma_list)
     if not sigmas:
@@ -216,5 +257,4 @@ def sweep_max_vs_sigma(
         raise ValueError("noise ratios must be strictly ascending")
     opts = opts or SearchOptions()
     grid, curves = scan_secrecy_grid(c, np.array(sigmas, dtype=float)[:, None], opts)
-    rule = gauss_hermite(opts.gh_order)
-    return [_refine(c, s, grid, values, opts, rule) for s, values in zip(sigmas, curves)]
+    return _refine(c, sigmas, grid, curves, opts, gauss_hermite(opts.gh_order))

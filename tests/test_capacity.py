@@ -711,10 +711,11 @@ def test_mc_estimates_do_not_depend_on_the_sub_block(monkeypatch, sub_block, sam
 def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
     # Each of the two workers keeps one 2^16-sample piece of values, 0.5 MiB,
     # and draws and evaluates it a 2^13-sample sub-block at a time, in
-    # buffers of about 1.2 MiB that it keeps for the call; it hands back only
-    # three numbers. That measures about 3.4 to 4.7 MiB traced, so 7 MiB fails
-    # a worker that draws or evaluates a whole piece at once (9 to 10.3 MiB),
-    # or any design that holds a 4 MiB buffer of 2^19 values.
+    # samples, uniforms and kernel buffers that each take and kernel call
+    # allocates and frees; it hands back only three numbers. That measures
+    # about 2.5 to 3.9 MiB traced, so 7 MiB fails a worker that draws or
+    # evaluates a whole piece at once (9 to 10.3 MiB), or any design that
+    # holds a 4 MiB buffer of 2^19 values.
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     tracemalloc.start()
     try:

@@ -65,6 +65,20 @@ def test_each_rule_is_built_once_and_errors_are_not_cached():
         gauss_hermite(7.0)
 
 
+def test_hermite_rule_gives_numpys_hermgauss_bit_for_bit():
+    # gauss_hermite builds its rule without numpy.polynomial, by hermgauss's
+    # own steps; every order it accepts must match, sign bits included.
+    from numpy.polynomial.hermite import hermgauss
+
+    for n in range(1, integrate.MAX_ORDER + 1):
+        for ours, numpys in zip(integrate._hermite_rule(n), hermgauss(n)):
+            assert ours.dtype == numpys.dtype and ours.shape == numpys.shape, n
+            assert np.array_equal(ours.view(np.uint64), numpys.view(np.uint64)), n
+    rule = gauss_hermite(32)
+    assert np.array_equal(rule.nodes, hermgauss(32)[0])
+    assert np.array_equal(rule.weights, hermgauss(32)[1])
+
+
 def tensor_expectation(f, variance, rule):
     """(1/pi) sum_ab w_a w_b f(z_ab) on the full grid z = sqrt(variance)(t_a + i t_b)."""
     t, w = rule.nodes, rule.weights

@@ -5,12 +5,14 @@ import pytest
 
 from ccsecrecy import optimize
 from ccsecrecy import (
+    MIEstimate,
     MaximumResult,
     SearchOptions,
     WiretapChannel,
     cc_secrecy_capacity,
     db_to_linear,
     find_secrecy_maximum,
+    from_points,
     gauss_hermite,
     make_bpsk,
     make_qam,
@@ -23,23 +25,53 @@ from ccsecrecy import (
 FAST = SearchOptions(scan_lo_db=-10.0, scan_hi_db=15.0, scan_step_db=0.5, tol_db=0.01)
 
 
+def _golden_one(f, lo, hi, tol):
+    """The lockstep search on the single bracket [lo, hi], for f of one point."""
+    (x,), (fx,), (iterations,) = optimize._golden_lockstep(
+        lambda points, which: np.array([f(float(t)) for t in points]), [lo], [hi], tol
+    )
+    return x, fx, iterations
+
+
 def test_golden_quadratic():
-    x, fx, iterations = optimize._golden(lambda t: -((t - 2.0) ** 2), 0.0, 5.0, 1e-6)
+    x, fx, iterations = _golden_one(lambda t: -((t - 2.0) ** 2), 0.0, 5.0, 1e-6)
     assert abs(x - 2.0) <= 1e-6
     assert abs(fx) <= 1e-12
     assert iterations > 0
 
 
 def test_golden_kinked_peak():
-    x, fx, _ = optimize._golden(lambda t: 1.0 - abs(t - 2.0), -1.0, 7.0, 1e-4)
+    x, fx, _ = _golden_one(lambda t: 1.0 - abs(t - 2.0), -1.0, 7.0, 1e-4)
     assert abs(x - 2.0) <= 1e-4
     assert fx == pytest.approx(1.0, abs=1e-4)
 
 
 def test_golden_constant_function():
-    x, fx, _ = optimize._golden(lambda t: 3.5, 0.0, 1.0, 1e-3)
+    x, fx, _ = _golden_one(lambda t: 3.5, 0.0, 1.0, 1e-3)
     assert 0.0 <= x <= 1.0
     assert fx == 3.5
+
+
+def test_lockstep_brackets_take_the_steps_they_take_alone():
+    # Brackets of different widths stop at different steps; each must end
+    # exactly where the search of that bracket alone ends.
+    lo, hi, centre = [0.0, 1.9, -1e3], [5.0, 2.3, 1e3], np.array([2.0, 2.2, -3.0])
+    calls = []
+
+    def f(points, which):
+        calls.append(points.size)
+        return -((points - centre[which]) ** 2)
+
+    x, fx, iterations = optimize._golden_lockstep(f, lo, hi, 1e-6)
+    assert len(set(iterations.tolist())) == 3
+    # Each step asks only the brackets still running for a point.
+    assert len(calls) == 2 + iterations.max()
+    assert (calls[0], calls[-1], sum(calls[1:-1])) == (6, 3, iterations.sum())
+    for i in range(3):
+        alone = optimize._golden_lockstep(
+            lambda points, which: f(points, np.full(which.shape, i)), [lo[i]], [hi[i]], 1e-6
+        )
+        assert (alone[0][0], alone[1][0], alone[2][0]) == (x[i], fx[i], iterations[i])
 
 
 class _TooManyCalls(Exception):
@@ -58,7 +90,7 @@ def test_golden_ends_when_float_spacing_stops_the_bracket(tol):
             raise _TooManyCalls
         return -((t - 2.0) ** 2)
 
-    x, fx, iterations = optimize._golden(f, 0.0, 5.0, tol)
+    x, fx, iterations = _golden_one(f, 0.0, 5.0, tol)
     assert abs(x - 2.0) <= 1e-7
     assert iterations < 200
 
@@ -86,7 +118,8 @@ def test_refine_keeps_a_grid_point_above_the_refined_peak():
     # golden section lands below the coarse 0.9 and the grid point is kept.
     grid = np.array([-5.0, 0.0, 5.0])
     values = np.array([0.1, 0.9, 0.1])
-    best = optimize._refine(make_bpsk(), 5.0, grid, values, FAST, gauss_hermite(FAST.gh_order))
+    (best,) = optimize._refine(make_bpsk(), [5.0], grid, values[None], FAST,
+                               gauss_hermite(FAST.gh_order))
     assert (best.snr_max_db, best.c_max, best.bracket) == (0.0, 0.9, (-5.0, 5.0))
     assert best.iterations > 0
 
@@ -248,16 +281,80 @@ def test_scan_with_a_column_of_noise_ratios_matches_single_scans():
         assert np.max(np.abs(row - values)) <= 4e-15
 
 
+def _asym16():
+    """16 seeded points with no rotation or reflection symmetry."""
+    rng = np.random.default_rng(20251017)
+    return from_points(rng.standard_normal(16) + 1j * rng.standard_normal(16), "asym16")
+
+
 def test_sweep_rows_match_single_searches(reference_constellations):
-    # sweep_max_vs_sigma scans every ratio at once and shares the main curve;
-    # each row must still be find_secrecy_maximum's answer for its ratio.
-    sigmas = [5.0, 10.0, 15.0, 20.0]
-    for c in reference_constellations:
+    # sweep_max_vs_sigma scans every ratio at once, shares the main curve and
+    # refines all the brackets in lockstep; each row must still be
+    # find_secrecy_maximum's answer for its ratio. Only c_max may differ, in
+    # the last bits, because an array call can round a point differently.
+    sigmas = [5, 10, 15, 20]
+    for c in reference_constellations + [make_qam(64), _asym16()]:
         rows = sweep_max_vs_sigma(c, sigmas)
         for row, sigma_sq in zip(rows, sigmas):
             single = find_secrecy_maximum(c, sigma_sq)
+            where = (c.name, sigma_sq)
             assert row.sigma_sq == sigma_sq
-            assert abs(row.snr_max_db - single.snr_max_db) <= 1e-12, (c.name, sigma_sq)
+            assert row.snr_max_db == single.snr_max_db, where
             assert row.snr_max_linear == db_to_linear(row.snr_max_db)
-            assert abs(row.c_max - single.c_max) <= 4e-15, (c.name, sigma_sq)
+            assert row.bracket == single.bracket, where
+            assert row.iterations == single.iterations, where
+            assert row.grid_local_maxima == single.grid_local_maxima, where
+            assert abs(row.c_max - single.c_max) <= 4e-15, where
             assert row.unimodal_ok == single.unimodal_ok
+
+
+def _two_plateaus(calls):
+    """A fake cc_secrecy_capacity: two flat-topped peaks, at 2.1 and 8.1 dB.
+
+    Both tops are log2(sigma_sq) / 10 high and 0.5 dB wide, so a 0.5 dB scan
+    sees one strict grid maximum in each, and their refined values tie.
+    """
+
+    def fake(c, ch, rule):
+        db = 10.0 * np.log10(np.asarray(ch.snr, dtype=float))
+        top = np.log2(np.asarray(ch.sigma_sq, dtype=float)) / 10.0
+        bump = np.maximum(0.75 - np.abs(db - 2.1), 0.75 - np.abs(db - 8.1)) * top / 0.5
+        calls.append(np.broadcast_shapes(np.shape(ch.snr), np.shape(ch.sigma_sq)))
+        return MIEstimate(np.minimum(bump, top), "fake", 0.0)
+
+    return fake
+
+
+def test_lockstep_refines_every_bracket_and_keeps_the_lower_snr_on_a_tie(monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimize, "cc_secrecy_capacity", _two_plateaus(calls))
+    rows = sweep_max_vs_sigma(make_bpsk(), [5.0, 10.0], FAST)
+    # One scan of both ratios, then one call for the first two points of each
+    # of the 2 x 2 brackets, one per step with a point in each, and one for
+    # the midpoints.
+    assert calls[0] == (2, 51)
+    assert calls[1:] == [(8,)] + [(4,)] * (len(calls) - 2)
+    for row in rows:
+        assert row.grid_local_maxima == 2 and not row.unimodal_ok
+        assert row.c_max == math.log2(row.sigma_sq) / 10.0
+        assert row.bracket == (1.5, 2.5)
+        assert abs(row.snr_max_db - 2.1) <= 0.25
+        assert row.iterations == len(calls) - 3
+
+
+def test_peak_search_makes_one_secrecy_call_per_golden_step(monkeypatch):
+    # Default options, 4 ratios with one bracket each: the scan, the first
+    # two points of every bracket, 10 golden-section steps of 1 dB down to
+    # 0.01 dB, and the midpoints: 13 calls, where one search per ratio made
+    # 1 + 4 * 13 = 53.
+    calls = []
+    real = optimize.cc_secrecy_capacity
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "cc_secrecy_capacity", spy)
+    rows = sweep_max_vs_sigma(make_bpsk(), [5.0, 10.0, 15.0, 20.0])
+    assert [row.iterations for row in rows] == [10] * 4
+    assert len(calls) == 1 + 12
