@@ -11,6 +11,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -165,6 +166,23 @@ def _emit(ns, columns, rows, digits: int = 9, **meta) -> int:
     return 0
 
 
+def _check_out(out) -> None:
+    """Raise OSError naming --out unless a file can be created at the path.
+
+    Run before any work, so that a long run is not thrown away at the end.
+    """
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise OSError(f"--out: {out} is a directory")
+    directory = path.parent
+    if not directory.is_dir():
+        raise OSError(f"--out: no such directory: {directory}")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(f"--out: cannot write to directory {directory}")
+
+
 def _cmd_rates(ns) -> int:
     """mi and sweep: rate rows from one table of MI per distinct noise variance and SNR."""
     snr_db = _parse_grid(ns.snr_db, "--snr-db")
@@ -301,6 +319,7 @@ def run_cli(args: list[str]) -> int:
     except SystemExit as exit_request:
         return 0 if exit_request.code in (0, None) else 1
     try:
+        _check_out(ns.out)
         return ns.func(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 gauss_hermite gives the per-axis rule that capacity.cc_output_entropy applies
 on its separable tensor grid. mc_expect_complex_gaussian estimates E[f(W)] for
-W ~ CN(0, 1) from a seekable sample stream; capacity.cc_mutual_information_mc,
-which works in units of the noise scale, runs it as a reproducible
-cross-check that also reports a standard error.
+W ~ CN(0, 1) from a seekable sample stream, in fixed pieces that one plain
+thread per core runs, or the calling thread alone on one core;
+capacity.cc_mutual_information_mc, which works in units of the noise scale,
+runs it as a reproducible cross-check that also reports a standard error.
 """
 
 from __future__ import annotations
@@ -242,15 +243,19 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     """Seeded Monte-Carlo estimate of E[f(W)], W ~ CN(0, 1).
 
     The samples are summed up as (count, mean, M2) in fixed pieces of _PIECE
-    samples, which a thread pool with one worker per available core runs at
-    the same time. A piece is drawn and passed to f _SUB_BLOCK samples at a
-    time; a sub-block's samples live only until f has returned. Only the
-    piece's values, 512 KiB, are kept: each worker thread reuses one buffer
-    of them for the whole call, because glibc gives a free block that large
-    back to the system, and a fresh one would fault in new pages for every
-    piece. The pieces are merged in sample order by the pairwise update of
-    Chan, Golub & LeVeque, four pieces per worker at a time, so a failing
-    piece ends the run without drawing the rest of the samples.
+    samples. They are run a window of four pieces per available core at a
+    time, by one worker per core: the calling thread if there is one core,
+    else one helper thread per core, joined before the window is merged.
+    Each worker takes the window's next piece until none is left or one has
+    failed. A one-core run starts no thread. A piece is drawn and passed to
+    f _SUB_BLOCK samples at a time; a sub-block's samples live only until f
+    has returned. Only the piece's values, 512 KiB, are kept: each worker
+    reuses one buffer of them for the window, because glibc gives a free
+    block that large back to the system, and a fresh one would fault in new
+    pages for every piece. The pieces are merged in sample order by the
+    pairwise update of Chan, Golub & LeVeque, and the first failure in
+    sample order is raised, so a failing piece ends the run without drawing
+    the windows after it.
 
     Parameters
     ----------
@@ -268,16 +273,10 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
         Sample mean and its standard error. Identical (seed, samples, f)
         reproduce the result bit for bit, whatever the number of cores.
     """
-    # Imported here, so that runs without Monte-Carlo do not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
-
     stream = ComplexGaussianStream(cfg)
-    worker = threading.local()
 
-    def piece(start: int) -> tuple[int, float, float]:
-        if not hasattr(worker, "values"):
-            worker.values = np.empty(min(_PIECE, cfg.samples))
-        values = worker.values[:min(_PIECE, cfg.samples - start)]
+    def piece(start: int, values: np.ndarray) -> tuple[int, float, float]:
+        values = values[:min(_PIECE, cfg.samples - start)]
         for lo in range(0, values.size, _SUB_BLOCK):
             n = min(_SUB_BLOCK, values.size - lo)
             values[lo:lo + n] = f(stream.take(start + lo, n))
@@ -297,16 +296,58 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     m2 = 0.0
     workers = _cores()
     window = 4 * workers * _PIECE
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for first in range(0, cfg.samples, window):
-            last = min(first + window, cfg.samples)
-            # map yields in submission order, and cancels the pieces not yet
-            # started when one raises.
-            for n_b, mean_b, m2_b in pool.map(piece, range(first, last, _PIECE)):
-                delta = mean_b - mean
-                total = count + n_b
-                mean += delta * n_b / total
-                m2 += m2_b + delta * delta * count * n_b / total
-                count = total
+    for first in range(0, cfg.samples, window):
+        starts = range(first, min(first + window, cfg.samples), _PIECE)
+        # Each slot gets the piece's (count, mean, M2) or the exception it
+        # raised. Pieces are taken in order and every piece taken is run, so
+        # a slot left empty comes after a failed one.
+        results: list = [None] * len(starts)
+        todo = iter(range(len(starts)))
+        lock = threading.Lock()
+        failed = False
+
+        def work() -> None:
+            nonlocal failed
+            values = np.empty(min(_PIECE, cfg.samples))
+            while not failed:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                try:
+                    results[k] = piece(starts[k], values)
+                # Kept for the caller, which raises it below, as an executor
+                # would; an interrupt also stops the other workers.
+                except BaseException as exc:
+                    results[k] = exc
+                    failed = True
+
+        # One worker runs on the calling thread. More run on helper threads
+        # alone: a main thread that ran pieces beside them kept its
+        # sub-block temporaries in glibc's main arena, which trimmed and
+        # faulted them in again on every sub-block (about 11k more minor
+        # faults per repeated 10^6-sample qam16 call on 2 cores).
+        n_workers = min(workers, len(starts))
+        if n_workers == 1:
+            work()
+        else:
+            helpers = []
+            try:
+                for _ in range(n_workers):
+                    helper = threading.Thread(target=work)
+                    helper.start()
+                    helpers.append(helper)
+            finally:
+                for helper in helpers:
+                    helper.join()
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+            n_b, mean_b, m2_b = result
+            delta = mean_b - mean
+            total = count + n_b
+            mean += delta * n_b / total
+            m2 += m2_b + delta * delta * count * n_b / total
+            count = total
     stderr = math.sqrt(m2 / (count - 1) / count)
     return mean, stderr

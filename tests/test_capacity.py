@@ -656,6 +656,17 @@ FROZEN_MC_TAIL_PINS = {
 }
 
 
+def test_one_core_mc_runs_on_the_calling_thread(monkeypatch):
+    # With one core the caller runs every piece itself and starts no thread.
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-core Monte-Carlo call started a thread")
+
+    monkeypatch.setattr(integrate, "_cores", lambda: 1)
+    monkeypatch.setattr(integrate.threading, "Thread", no_thread)
+    est = cc_mutual_information_mc(make_qam(16), db_to_linear(10), 1.0, MCConfig(20_000, 7))
+    assert (est.bits.hex(), est.error_bound.hex()) == FROZEN_MC_PINS["qam16", 10, 1.0]
+
+
 @pytest.mark.parametrize("name, samples", list(FROZEN_MC_TAIL_PINS))
 def test_mc_estimates_with_a_lone_tail_sample_are_pinned(name, samples):
     c = KERNEL_CONSTELLATIONS[name]()
@@ -709,13 +720,14 @@ def test_mc_estimates_do_not_depend_on_the_sub_block(monkeypatch, sub_block, sam
 
 
 def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
-    # Each of the two workers keeps one 2^16-sample piece of values, 0.5 MiB,
-    # and draws and evaluates it a 2^13-sample sub-block at a time, in
-    # samples, uniforms and kernel buffers that each take and kernel call
-    # allocates and frees; it hands back only three numbers. That measures
-    # about 2.5 to 3.9 MiB traced, so 7 MiB fails a worker that draws or
-    # evaluates a whole piece at once (9 to 10.3 MiB), or any design that
-    # holds a 4 MiB buffer of 2^19 values.
+    # On two cores the workers are two helper threads, started for each
+    # window of pieces. Each keeps one 2^16-sample piece of values, 0.5 MiB,
+    # for its window, and draws and evaluates it a 2^13-sample sub-block at
+    # a time, in samples, uniforms and kernel buffers that each take and
+    # kernel call allocates and frees; it hands back only three numbers.
+    # That measures about 2.5 to 3.9 MiB traced, so 7 MiB fails a worker
+    # that draws or evaluates a whole piece at once (9 to 10.3 MiB), or any
+    # design that holds a 4 MiB buffer of 2^19 values.
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     tracemalloc.start()
     try:

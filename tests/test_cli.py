@@ -735,6 +735,27 @@ def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_pat
     assert f"usage error: {flag}:" in capsys.readouterr().err
 
 
+# An --out that cannot be created is reported before any work, naming the
+# flag; it used to fail in the final open, after the whole run, with
+# "[Errno 2] No such file or directory".
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unusable_out_is_an_error_before_any_estimate(where, monkeypatch, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "mi.csv" if where == "missing-directory" else tmp_path
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return cc_mutual_information_mc(*args)
+
+    monkeypatch.setattr(cli, "cc_mutual_information_mc", spy)
+    args = ["mi", "--constellation", "qam16", "--snr-db", "10", "--mc-samples", "1000000",
+            "--out", str(out)]
+    assert run_cli(args) == 2
+    assert calls == []
+    assert not (tmp_path / "no_such_dir").exists()
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
 # Finite but extreme values are domain errors raised where they enter. Both
 # used to overflow in the quadrature: a --sigma2 of 1e308 exited 2 with
 # "mutual information is not finite: got nan" after numpy overflow warnings,
@@ -955,6 +976,22 @@ def test_quadrature_commands_do_not_import_numpy_polynomial(tmp_path):
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                            capture_output=True, timeout=120)
     assert child.stdout == b"[0, 0] False\n", child.stderr
+
+
+def test_monte_carlo_commands_do_not_import_concurrent_futures(tmp_path):
+    # The Monte-Carlo pieces run on plain threads; an executor would import
+    # logging, queue, heapq, traceback and string, about 0.5 MB per child.
+    code = (
+        "import sys\n"
+        "from ccsecrecy.cli import run_cli\n"
+        "code = run_cli(['mi', '--constellation', 'qam16', '--snr-db', '10',\n"
+        "                '--mc-samples', '200000', '--out', 'mi.csv'])\n"
+        "print(code, 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                           capture_output=True, timeout=120)
+    assert child.stdout == b"0 False\n", child.stderr
 
 
 def test_only_the_console_entry_point_freezes_the_collector(monkeypatch, tmp_path):

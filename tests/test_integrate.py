@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -156,10 +157,11 @@ def test_mc_reports_the_first_nonfinite_sample_across_pieces():
 
 
 def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
-    # At most four pieces per worker are submitted ahead of the merge. So on
-    # two workers, while a slow first piece fails, the other worker draws at
-    # most seven more pieces of the 64, however fast it runs. A piece is
-    # drawn a sub-block at a time, so the draws are counted by piece.
+    # On two cores two helper threads take pieces from a window of eight,
+    # and no piece of the next window is drawn before the window is merged.
+    # So while a slow first piece fails, the other helper draws at most seven
+    # more pieces of the 64, however fast it runs. A piece is drawn a
+    # sub-block at a time, so the draws are counted by piece.
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     cfg = MCConfig(2**22, 3)
     first = integrate.ComplexGaussianStream(cfg).take(0, 1)[0]
@@ -180,6 +182,29 @@ def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
     with pytest.raises(ValueError, match="sample 0:"):
         mc_expect_complex_gaussian(f, cfg)
     assert len(drawn) <= 8, sorted(drawn)
+
+
+def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
+    # Two helpers take one piece each, and each piece takes a while: the
+    # call may raise the first piece's error only once both helpers are done.
+    class Boom(Exception):
+        pass
+
+    cfg = MCConfig(2**17, 3)
+    first = integrate.ComplexGaussianStream(cfg).take(0, 1)[0]
+
+    def f(z):
+        if z[0] == first:
+            time.sleep(0.1)
+            raise Boom("raised in the first piece")
+        time.sleep(0.02)
+        return np.abs(z)
+
+    monkeypatch.setattr(integrate, "_cores", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(Boom):
+        mc_expect_complex_gaussian(f, cfg)
+    assert threading.active_count() == before
 
 
 def test_mc_worker_exception_reaches_the_caller():
