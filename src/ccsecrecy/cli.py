@@ -167,15 +167,21 @@ def _emit(ns, columns, rows, digits: int = 9, **meta) -> int:
 
 
 def _check_out(out) -> None:
-    """Raise OSError naming --out unless a file can be created at the path.
+    """Raise OSError naming --out unless the path can be opened for writing.
 
     Run before any work, so that a long run is not thrown away at the end.
+    An existing file needs write permission on itself, a new one on its
+    directory. An empty --out means stdout, as in _emit.
     """
-    if out is None:
+    if not out:
         return
     path = Path(out)
     if path.is_dir():
         raise OSError(f"--out: {out} is a directory")
+    if path.exists():
+        if not os.access(path, os.W_OK):
+            raise OSError(f"--out: cannot write to {out}")
+        return
     directory = path.parent
     if not directory.is_dir():
         raise OSError(f"--out: no such directory: {directory}")

@@ -250,12 +250,12 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     failed. A one-core run starts no thread. A piece is drawn and passed to
     f _SUB_BLOCK samples at a time; a sub-block's samples live only until f
     has returned. Only the piece's values, 512 KiB, are kept: each worker
-    reuses one buffer of them for the window, because glibc gives a free
+    has one buffer of them, made once per call, because glibc gives a free
     block that large back to the system, and a fresh one would fault in new
-    pages for every piece. The pieces are merged in sample order by the
-    pairwise update of Chan, Golub & LeVeque, and the first failure in
-    sample order is raised, so a failing piece ends the run without drawing
-    the windows after it.
+    pages for every piece or window. The pieces are merged in sample order
+    by the pairwise update of Chan, Golub & LeVeque, and the first failure
+    in sample order is raised, so a failing piece ends the run without
+    drawing the windows after it.
 
     Parameters
     ----------
@@ -296,6 +296,8 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     m2 = 0.0
     workers = _cores()
     window = 4 * workers * _PIECE
+    buffers = [np.empty(min(_PIECE, cfg.samples))
+               for _ in range(min(workers, -(-cfg.samples // _PIECE)))]
     for first in range(0, cfg.samples, window):
         starts = range(first, min(first + window, cfg.samples), _PIECE)
         # Each slot gets the piece's (count, mean, M2) or the exception it
@@ -306,9 +308,8 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
         lock = threading.Lock()
         failed = False
 
-        def work() -> None:
+        def work(values: np.ndarray) -> None:
             nonlocal failed
-            values = np.empty(min(_PIECE, cfg.samples))
             while not failed:
                 with lock:
                     k = next(todo, None)
@@ -329,12 +330,12 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
         # faults per repeated 10^6-sample qam16 call on 2 cores).
         n_workers = min(workers, len(starts))
         if n_workers == 1:
-            work()
+            work(buffers[0])
         else:
             helpers = []
             try:
-                for _ in range(n_workers):
-                    helper = threading.Thread(target=work)
+                for values in buffers[:n_workers]:
+                    helper = threading.Thread(target=work, args=(values,))
                     helper.start()
                     helpers.append(helper)
             finally:

@@ -722,8 +722,8 @@ def test_mc_estimates_do_not_depend_on_the_sub_block(monkeypatch, sub_block, sam
 def test_mc_memory_holds_one_piece_per_worker(monkeypatch):
     # On two cores the workers are two helper threads, started for each
     # window of pieces. Each keeps one 2^16-sample piece of values, 0.5 MiB,
-    # for its window, and draws and evaluates it a 2^13-sample sub-block at
-    # a time, in samples, uniforms and kernel buffers that each take and
+    # made once per call, and draws and evaluates it a 2^13-sample sub-block
+    # at a time, in samples, uniforms and kernel buffers that each take and
     # kernel call allocates and frees; it hands back only three numbers.
     # That measures about 2.5 to 3.9 MiB traced, so 7 MiB fails a worker
     # that draws or evaluates a whole piece at once (9 to 10.3 MiB), or any

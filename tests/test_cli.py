@@ -735,12 +735,36 @@ def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_pat
     assert f"usage error: {flag}:" in capsys.readouterr().err
 
 
-# An --out that cannot be created is reported before any work, naming the
-# flag; it used to fail in the final open, after the whole run, with
-# "[Errno 2] No such file or directory".
-@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def _deny_write(monkeypatch, *paths):
+    """Make os.access refuse write access to the given paths.
+
+    Root may write anywhere, so a chmod alone would not show the check.
+    """
+    real = os.access
+    denied = {Path(p) for p in paths}
+
+    def access(path, mode, **kwargs):
+        if mode & os.W_OK and Path(path) in denied:
+            return False
+        return real(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+
+
+# An --out that cannot be written is reported before any work, naming the
+# flag, so that a long run is not thrown away in the final open.
+@pytest.mark.parametrize(
+    "where", ["missing-directory", "a-directory", "read-only-directory", "read-only-file"])
 def test_unusable_out_is_an_error_before_any_estimate(where, monkeypatch, tmp_path, capsys):
-    out = tmp_path / "no_such_dir" / "mi.csv" if where == "missing-directory" else tmp_path
+    out = {"missing-directory": tmp_path / "no_such_dir" / "mi.csv",
+           "a-directory": tmp_path,
+           "read-only-directory": tmp_path / "mi.csv",
+           "read-only-file": tmp_path / "old.csv"}[where]
+    if where == "read-only-directory":
+        _deny_write(monkeypatch, tmp_path)
+    if where == "read-only-file":
+        out.write_text("kept\n")
+        _deny_write(monkeypatch, out)
     calls = []
 
     def spy(*args):
@@ -753,7 +777,40 @@ def test_unusable_out_is_an_error_before_any_estimate(where, monkeypatch, tmp_pa
     assert run_cli(args) == 2
     assert calls == []
     assert not (tmp_path / "no_such_dir").exists()
+    assert not (tmp_path / "mi.csv").exists()
+    if where == "read-only-file":
+        assert out.read_text() == "kept\n"
     assert capsys.readouterr().err.startswith("error: --out: ")
+
+
+# Opening an existing file for writing needs write access to the file, not
+# to its directory: /dev is not writable by a normal user, yet /dev/null is.
+# An empty --out means stdout.
+@pytest.mark.parametrize("where", ["dev-null", "file-in-read-only-directory", "empty"])
+def test_writable_out_is_accepted(where, monkeypatch, tmp_path, capsys):
+    if where == "dev-null":
+        if not Path("/dev/null").exists():
+            pytest.skip("needs /dev/null")
+        out = "/dev/null"
+        _deny_write(monkeypatch, "/dev")
+    elif where == "file-in-read-only-directory":
+        out = tmp_path / "mi.csv"
+        out.write_text("old\n")
+        tmp_path.chmod(0o555)
+        _deny_write(monkeypatch, tmp_path)
+    else:
+        out = ""
+    args = ["mi", "--constellation", "bpsk", "--snr-db", "5", "--out", str(out)]
+    try:
+        assert run_cli(args) == 0
+    finally:
+        tmp_path.chmod(0o700)
+    captured = capsys.readouterr()
+    assert f"wrote 1 rows to {out or 'stdout'}" in captured.err
+    if where == "file-in-read-only-directory":
+        assert len(_read_rows(out)[1]) == 1
+    if where == "empty":
+        assert captured.out.startswith("constellation,")
 
 
 # Finite but extreme values are domain errors raised where they enter. Both

@@ -207,6 +207,25 @@ def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_mc_makes_one_values_buffer_per_worker_per_call(cores, monkeypatch):
+    # glibc gives a free 512 KiB block back to the system, so a buffer made
+    # per window would fault its pages in again for every window. Here the
+    # second window of 2^19 + 1 samples holds a single piece.
+    made = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        if shape == integrate._PIECE:
+            made.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "_cores", lambda: cores)
+    monkeypatch.setattr(np, "empty", spy)
+    mc_expect_complex_gaussian(np.abs, MCConfig(2**19 + 1, 5))
+    assert len(made) == cores
+
+
 def test_mc_worker_exception_reaches_the_caller():
     class Boom(Exception):
         pass
