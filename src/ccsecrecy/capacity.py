@@ -3,6 +3,9 @@
 The channel pair is y = sqrt(snr) * x + n1 and z = sqrt(snr) * x + n2 with
 n1 ~ CN(0, 1) and n2 ~ CN(0, sigma_sq), sigma_sq >= 1, after normalizing the
 main-channel noise to unit variance. All rates are in bits per channel use.
+
+The public functions check snr, noise variance and their ratio where they
+enter, against the domain MAX_SCALE sets, and name the first bad value.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from .constellation import Constellation
 from .integrate import (
     HermiteRule,
     MCConfig,
-    _checked,
-    _checked_channel,
     mc_expect_complex_gaussian,
 )
 
 LN2 = math.log(2.0)
+
+# The largest snr, noise variance and snr / variance, and the inverse of the
+# smallest noise variance, the library takes. With unit mean energy every
+# |x_i - x_j|^2 <= 4M <= 4096, so no squared offset exceeds 4.1e303.
+MAX_SCALE = 1e300
 
 # Mutual information below 0 or above log2(M) by more than this is treated as
 # a numerical failure rather than roundoff to clamp away.
@@ -54,6 +60,43 @@ def _first(values: np.ndarray, mask: np.ndarray) -> float | None:
     every scalar call as well as on grids.
     """
     return float(values[mask].flat[0]) if np.count_nonzero(mask) else None
+
+
+def _checked(name: str, values, *, zero_ok: bool = False) -> np.ndarray:
+    """The values as a float array, checked where they enter the library.
+
+    Raises ValueError naming the first value that is not finite or is above
+    MAX_SCALE, or is below zero if zero_ok, else below 1 / MAX_SCALE.
+    """
+    values = np.asarray(values, dtype=float)
+    ok = values >= (0.0 if zero_ok else 1.0 / MAX_SCALE)
+    ok &= values <= MAX_SCALE
+    bad = _first(values, ~ok)
+    if bad is not None:
+        what = ("is not finite" if not math.isfinite(bad)
+                else f"must be at most {MAX_SCALE:g}" if bad > MAX_SCALE
+                else "must be nonnegative" if zero_ok
+                else "must be positive" if bad <= 0.0
+                else f"must be at least {1.0 / MAX_SCALE:g}")
+        raise ValueError(f"{name} {what}, got {bad}")
+    return values
+
+
+def _checked_channel(snr, variance) -> tuple[np.ndarray, np.ndarray]:
+    """snr and noise variance as _checked takes them, with snr / variance <= MAX_SCALE.
+
+    The ratio is tested as snr / MAX_SCALE <= variance, which cannot overflow.
+    """
+    snr = _checked("snr", snr, zero_ok=True)
+    variance = _checked("noise variance", variance)
+    over = snr / MAX_SCALE > variance
+    if np.count_nonzero(over):
+        pair = np.broadcast_arrays(snr, variance)
+        bad_snr, bad_variance = (float(a[over].flat[0]) for a in pair)
+        raise ValueError(
+            f"snr / noise variance must be at most {MAX_SCALE:g}, got {bad_snr} / {bad_variance}"
+        )
+    return snr, variance
 
 
 def _shaped(values):

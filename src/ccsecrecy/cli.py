@@ -138,7 +138,12 @@ def _fmt(value, digits: int) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.{digits}g}"
-    return str(value)
+    # RFC 4180: a field holding a comma, quote or line break is quoted, and
+    # its quotes are doubled; a file: set's name can hold any of them.
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def emit_csv(columns, rows, target, digits: int = 9) -> None:

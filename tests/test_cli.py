@@ -1,4 +1,5 @@
 import argparse
+import csv
 import gc
 import inspect
 import io
@@ -163,6 +164,21 @@ def test_emit_csv_shapes():
     assert lines[0] == CSV_HEADER
     assert lines[1] == "bpsk,1,2,0.5,0.25,0.25,0.3,1"
     assert lines[2] == ""
+
+
+def test_csv_quotes_a_file_name_with_a_comma_or_quote(tmp_path):
+    # The file stem is the constellation field; unquoted, its comma split
+    # each row into one field more than the header.
+    path = tmp_path / 'a,b"c.json'
+    path.write_text(json.dumps([[1, 0], [0, 1], [-1, 0], [0, -1]]))
+    out = tmp_path / "rates.csv"
+    assert run_cli(["sweep", "--constellation", f"file:{path}", "--snr-db", "0",
+                    "--sigma2", "5", "--out", str(out)]) == 0
+    with open(out, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == list(RATE_COLUMNS)
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert rows[0][0] == 'a,b"c'
 
 
 def test_emit_json_empty():
@@ -1019,7 +1035,9 @@ def test_module_entry_point_exit_codes(selector, code, prefix, tmp_path):
 
 def test_quadrature_commands_do_not_import_numpy_polynomial(tmp_path):
     # The Gauss-Hermite rule is built without numpy.polynomial, whose import
-    # costs a child 3 to 6 ms and about 0.8 MB of peak RSS.
+    # costs a child 3 to 6 ms and about 0.8 MB of peak RSS. Only the
+    # Monte-Carlo stream needs numpy.random, which costs a child 14 to 19 ms
+    # and about 5.6 MB.
     code = (
         "import sys\n"
         "from ccsecrecy.cli import run_cli\n"
@@ -1027,12 +1045,12 @@ def test_quadrature_commands_do_not_import_numpy_polynomial(tmp_path):
         "                  '--sigma2', '5', '--out', 'rates.csv']),\n"
         "         run_cli(['max-sweep', '--constellation', 'bpsk', '--sigma2', '5',\n"
         "                  '--out', 'peaks.csv'])]\n"
-        "print(codes, 'numpy.polynomial' in sys.modules)\n"
+        "print(codes, 'numpy.polynomial' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                            capture_output=True, timeout=120)
-    assert child.stdout == b"[0, 0] False\n", child.stderr
+    assert child.stdout == b"[0, 0] False False\n", child.stderr
 
 
 def test_monte_carlo_commands_do_not_import_concurrent_futures(tmp_path):

@@ -276,7 +276,9 @@ def test_stream_is_seekable_by_index():
 
 
 def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
-    # Takes that cross sub-blocks give the samples of the class docstring.
+    # Takes of any start and length, in any order, give the samples of the
+    # class docstring. take draws a take's uniforms in one call; a take that
+    # read _SUB_BLOCK again would split each of these takes into 7s.
     monkeypatch.setattr(integrate, "_SUB_BLOCK", 7)
     bit_gen = np.random.Philox(key=5)
     bit_gen.advance(3)
@@ -291,7 +293,9 @@ def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
 
 def test_stream_can_be_shared_between_threads(monkeypatch):
     # Four threads take from one stream, switching every microsecond; each
-    # take gives what a lone take of the same range gives.
+    # take gives what a lone take of the same range gives. take reads no
+    # _SUB_BLOCK; a take that did would draw each 50-sample take in ten
+    # sub-blocks for the threads to interleave.
     monkeypatch.setattr(integrate, "_SUB_BLOCK", 5)
     stream = integrate.ComplexGaussianStream(MCConfig(10, 3))
     starts = [97 * k for k in range(64)]
