@@ -267,8 +267,8 @@ def _number_in(kind, low, high, bounds: str):
 
 
 _gh_order = _number_in(int, 1, MAX_ORDER + 1, f"in [1, {MAX_ORDER}]")
-# A standard error needs at least two samples.
-_mc_samples = _number_in(int, 2, math.inf, "at least 2")
+# A standard error needs at least two samples; the stream holds 2^63.
+_mc_samples = _number_in(int, 2, 2**63, "in [2, 2^63)")
 _seed = _number_in(int, 0, 2**64, "in [0, 2^64)")
 # math.ulp(0.0) is the smallest float above 0.
 _tol_db = _number_in(float, math.ulp(0.0), math.inf, "positive and finite")
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"{MAX_GRID_POINTS} points "
                                 "(write --snr-db=-10:40:0.5 when it starts negative)")
             p.add_argument("--mc-samples", type=_mc_samples, default=None,
-                           help="switch to Monte-Carlo with this many samples (at least 2)")
+                           help="switch to Monte-Carlo with this many samples, in [2, 2^63)")
             p.add_argument("--seed", type=_seed, default=0,
                            help="Monte-Carlo seed in [0, 2^64) (default 0)")
         else:

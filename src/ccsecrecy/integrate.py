@@ -23,18 +23,26 @@ import numpy as np
 
 MAX_ORDER = 200
 
-# Each complex sample owns one 256-bit Philox counter block (four 64-bit
-# words, of which two are used), so advancing the counter by k blocks lands
-# exactly on sample k regardless of what was drawn before.
-_WORDS_PER_BLOCK = 4
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014; Vigna's splitmix64.c): output
+# i of seed s is mix(s + i * _GAMMA mod 2^64), where mix is the xor-shifts
+# and multiplies of _MIX and a last xor-shift, so any output is drawn without
+# state or seek. Sample k takes outputs 2k + 1 and 2k + 2, so the stream holds
+# _MAX_SAMPLES samples before its outputs repeat.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
+_FLOAT_SHIFT = np.uint64(11)
+_MAX_SAMPLES = 2**63
 # Monte-Carlo samples are drawn, evaluated and reduced to (count, mean, M2)
 # in pieces of _PIECE, which are merged in sample order. The grid is fixed, so
 # the result does not depend on how many cores run the pieces.
 _PIECE = 1 << 16
 # A piece is drawn and evaluated _SUB_BLOCK samples at a time, so that the
-# samples and their uniforms (384 KiB) and the integrand's temporaries stay
-# in a 2 MiB L2 cache; only the piece's values, 512 KiB, are kept whole. A
-# sample's value does not depend on the sub-block it is drawn in.
+# samples (128 KiB, their uniforms drawn in place) and the integrand's
+# temporaries stay in a 2 MiB L2 cache; only the piece's values, 512 KiB, are
+# kept whole. A sample's value does not depend on the sub-block it is drawn
+# in.
 _SUB_BLOCK = 1 << 13
 
 
@@ -55,8 +63,8 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
-        # A float would fail later in range(), and Philox truncates a
-        # fractional seed to another seed's stream; bool is an int subclass.
+        # A float would fail later in range(), and a fractional seed would
+        # be truncated to another seed's stream; bool is an int subclass.
         for name, value in (("samples", self.samples), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -64,6 +72,8 @@ class MCConfig:
             raise ValueError(
                 f"need at least 2 samples to estimate a standard error, got {self.samples}"
             )
+        if self.samples >= _MAX_SAMPLES:
+            raise ValueError(f"samples must be below 2^63, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -141,9 +151,9 @@ def gauss_hermite(n: int) -> HermiteRule:
 class ComplexGaussianStream:
     """Deterministic, index-addressable stream of CN(0, 1) samples.
 
-    Sample k is a fixed function of (seed, k): it is derived from the first
-    two uniform draws (u, v) of Philox counter block k keyed by the seed,
-    mapped through the radial transform
+    Sample k is a fixed function of (seed, k): its uniforms (u, v) are
+    outputs 2k + 1 and 2k + 2 of the SplitMix64 generator seeded with the
+    seed, each mapped to [0, 1) as (output >> 11) * 2^-53, and then
 
         W_k = sqrt(-ln(1 - u)) * exp(i * 2*pi * v)
 
@@ -159,24 +169,38 @@ class ComplexGaussianStream:
     def take(self, start: int, count: int) -> np.ndarray:
         """Return samples [start, start + count) as a complex array.
 
-        The uniforms of all count samples are drawn in one call and live
-        until the take returns; mc_expect_complex_gaussian takes at most
-        _SUB_BLOCK samples at a time.
+        The 2 * count SplitMix64 outputs, and then their uniforms, are
+        drawn in place in the returned array, outputs 2k + 1 and 2k + 2 in
+        the real and imaginary parts of sample k, so a take allocates only
+        its samples and their radii. mc_expect_complex_gaussian takes at
+        most _SUB_BLOCK samples at a time.
         """
         if start < 0 or count < 0:
             raise ValueError("sample indices must be nonnegative")
+        if start + count > _MAX_SAMPLES:
+            raise ValueError("the stream holds only 2^63 samples")
         w = np.empty(count, dtype=complex)
-        bit_gen = np.random.Philox(key=self.cfg.seed)
-        bit_gen.advance(start)
-        u = np.random.Generator(bit_gen).random((count, _WORDS_PER_BLOCK))
-        radius = np.negative(u[:, 0])
+        z = w.view(np.uint64)
+        # uint64 arrays and a Python int for the first output wrap mod 2^64,
+        # where numpy scalars would warn on overflow.
+        first = (int(self.cfg.seed) + (2 * int(start) + 1) * int(_GAMMA)) % 2**64
+        np.multiply(np.arange(2 * count, dtype=np.uint64), _GAMMA, out=z)
+        z += np.uint64(first)
+        for shift, factor in _MIX:
+            z ^= z >> shift
+            z *= factor
+        z ^= z >> _LAST_SHIFT
+        z >>= _FLOAT_SHIFT
+        # Below 2^53, so exact as a float; the cast writes over its input.
+        np.multiply(z, 2.0**-53, out=w.view(float))
+        radius = np.negative(w.real)
         np.log1p(radius, out=radius)
         np.negative(radius, out=radius)
         np.sqrt(radius, out=radius)
         # The real arrays are applied part by part: a product of a real and
         # a complex array first casts the real one to complex, in a buffer
         # as large as the result. The results are the same to the bit.
-        w.real = u[:, 1]
+        w.real = w.imag
         w.imag = 0.0
         w *= 2j * np.pi
         np.exp(w, out=w)

@@ -431,11 +431,12 @@ def test_peak_commands_reject_monte_carlo_flags(command, flag):
         ["--mc-samples", "1"],
         ["--mc-samples", "-5"],
         ["--mc-samples", "many"],
+        ["--mc-samples", str(2**63)],
         ["--seed", "-1"],
         ["--seed", str(2**64)],
     ],
     ids=["samples-0", "samples-1", "samples-negative", "samples-nonint",
-         "seed-negative", "seed-2^64"],
+         "samples-2^63", "seed-negative", "seed-2^64"],
 )
 def test_monte_carlo_flags_out_of_range_are_usage_errors(flag, tmp_path):
     out = tmp_path / "mi.csv"
@@ -497,21 +498,21 @@ def test_empty_sigma2_is_a_usage_error(command, tmp_path):
     assert not out.exists()
 
 
-# CLI bytes of Monte-Carlo runs, recorded before the samples were spread over
-# cores; the estimate must not depend on how the pieces are scheduled.
+# CLI bytes of Monte-Carlo runs from the SplitMix64 stream; the estimate must
+# not depend on how the pieces are scheduled.
 FROZEN_MC_MI = (
     "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap\n"
-    "qam16,10,1,3.16350672,3.16350672,0,0,3.45943162\n"
+    "qam16,10,1,3.1643511,3.1643511,0,0,3.45943162\n"
 )
 
 FROZEN_MC_SWEEP = (
     "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap\n"
-    "qam16,0,5,0.989030903,0.26176298,0.727267923,0.736965594,1\n"
-    "qam16,0,20,0.989030903,0.0690329613,0.919997942,0.929610672,1\n"
-    "qam16,10,5,3.16352721,1.54260257,1.62092464,1.87446912,3.45943162\n"
-    "qam16,10,20,3.16352721,0.58236273,2.58116448,2.87446912,3.45943162\n"
-    "qam16,20,5,3.99853771,3.73734328,0.26119443,2.26589406,6.65821148\n"
-    "qam16,20,20,3.99853771,2.43846316,1.56007455,4.07324898,6.65821148\n"
+    "qam16,0,5,0.99028888,0.263856767,0.726432113,0.736965594,1\n"
+    "qam16,0,20,0.99028888,0.0714382031,0.918850677,0.929610672,1\n"
+    "qam16,10,5,3.16439712,1.54353093,1.62086619,1.87446912,3.45943162\n"
+    "qam16,10,20,3.16439712,0.584020359,2.58037676,2.87446912,3.45943162\n"
+    "qam16,20,5,4,3.73940907,0.260590929,2.26589406,6.65821148\n"
+    "qam16,20,20,4,2.43912626,1.56087374,4.07324898,6.65821148\n"
 )
 
 
@@ -1035,9 +1036,9 @@ def test_module_entry_point_exit_codes(selector, code, prefix, tmp_path):
 
 def test_quadrature_commands_do_not_import_numpy_polynomial(tmp_path):
     # The Gauss-Hermite rule is built without numpy.polynomial, whose import
-    # costs a child 3 to 6 ms and about 0.8 MB of peak RSS. Only the
-    # Monte-Carlo stream needs numpy.random, which costs a child 14 to 19 ms
-    # and about 5.6 MB.
+    # costs a child 3 to 6 ms and about 0.8 MB of peak RSS. Nor does any
+    # command import numpy.random, which costs a child 14 to 19 ms and about
+    # 5.6 MB.
     code = (
         "import sys\n"
         "from ccsecrecy.cli import run_cli\n"
@@ -1056,17 +1057,18 @@ def test_quadrature_commands_do_not_import_numpy_polynomial(tmp_path):
 def test_monte_carlo_commands_do_not_import_concurrent_futures(tmp_path):
     # The Monte-Carlo pieces run on plain threads; an executor would import
     # logging, queue, heapq, traceback and string, about 0.5 MB per child.
+    # The SplitMix64 stream needs no numpy.random, about 5.6 MB per child.
     code = (
         "import sys\n"
         "from ccsecrecy.cli import run_cli\n"
         "code = run_cli(['mi', '--constellation', 'qam16', '--snr-db', '10',\n"
         "                '--mc-samples', '200000', '--out', 'mi.csv'])\n"
-        "print(code, 'concurrent.futures' in sys.modules)\n"
+        "print(code, 'concurrent.futures' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                            capture_output=True, timeout=120)
-    assert child.stdout == b"0 False\n", child.stderr
+    assert child.stdout == b"0 False False\n", child.stderr
 
 
 def test_only_the_console_entry_point_freezes_the_collector(monkeypatch, tmp_path):

@@ -263,6 +263,18 @@ def test_mc_config_takes_only_integers(samples, seed, bad):
     assert MCConfig(np.int64(1000), np.uint64(2**63)).seed == 2**63
 
 
+def test_samples_stay_in_the_stream():
+    # Sample k reads SplitMix64 output 2k + 2; from k = 2^63 on, the outputs
+    # of earlier samples come round again.
+    assert MCConfig(2**63 - 1, 0).samples == 2**63 - 1
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        MCConfig(2**63, 0)
+    stream = integrate.ComplexGaussianStream(MCConfig(10, 0))
+    assert stream.take(2**63 - 1, 1).shape == (1,)
+    with pytest.raises(ValueError, match="only 2\\^63 samples"):
+        stream.take(2**63 - 1, 2)
+
+
 def test_stream_repeat_fetch_is_identical():
     stream = integrate.ComplexGaussianStream(MCConfig(100, 7))
     assert np.array_equal(stream.take(0, 3), stream.take(0, 3))
@@ -275,15 +287,40 @@ def test_stream_is_seekable_by_index():
     assert np.array_equal(stream.take(17, 3), block[17:20])
 
 
+def _splitmix64(seed: int, n: int) -> list[int]:
+    """The first n outputs of splitmix64.c's next() seeded with seed."""
+    outputs = []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) % 2**64
+        z = seed
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
+def _formula_samples(outputs: list[int]) -> np.ndarray:
+    """The class docstring's samples from consecutive pairs of outputs."""
+    u = np.array([(out >> 11) * 2.0**-53 for out in outputs]).reshape(-1, 2)
+    return np.sqrt(-np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+
+
+def test_reference_generator_outputs_are_pinned():
+    # The outputs of splitmix64.c compiled with gcc.
+    assert [f"{out:016x}" for out in _splitmix64(0, 3)] == [
+        "e220a8397b1dcdaf", "6e789e6aa1b965f4", "06c45d188009454f"]
+    assert [f"{out:016x}" for out in _splitmix64(1234567, 3)] == [
+        "599ed017fb08fc85", "2c73f08458540fa5", "883ebce5a3f27c77"]
+    stream = integrate.ComplexGaussianStream(MCConfig(10, 0))
+    assert np.array_equal(stream.take(0, 1), _formula_samples(_splitmix64(0, 2)))
+
+
 def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
     # Takes of any start and length, in any order, give the samples of the
     # class docstring. take draws a take's uniforms in one call; a take that
     # read _SUB_BLOCK again would split each of these takes into 7s.
     monkeypatch.setattr(integrate, "_SUB_BLOCK", 7)
-    bit_gen = np.random.Philox(key=5)
-    bit_gen.advance(3)
-    u = np.random.Generator(bit_gen).random((60, 4))
-    want = np.sqrt(-np.log1p(-u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+    want = _formula_samples(_splitmix64(5, 2 * 63))[3:]
     stream = integrate.ComplexGaussianStream(MCConfig(10, 5))
     got = [stream.take(3, 20), stream.take(23, 1),
            stream.take(24, 39), stream.take(10, 5)]
@@ -319,6 +356,13 @@ def test_stream_moments():
     for axis in (draws.real, draws.imag):
         se = axis.std(ddof=1) / math.sqrt(axis.size)
         assert abs(axis.mean()) <= 4.0 * se
+
+
+def test_streams_of_neighbouring_seeds_are_uncorrelated():
+    n = 100_000
+    a, b = (integrate.ComplexGaussianStream(MCConfig(n, seed)).take(0, n).real
+            for seed in (0, 1))
+    assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / math.sqrt(n)
 
 
 def test_stream_bounds_and_len():
