@@ -2,7 +2,7 @@
 
 gauss_hermite gives the per-axis rule that capacity.cc_output_entropy applies
 on its separable tensor grid. mc_expect_complex_gaussian estimates E[f(W)] for
-W ~ CN(0, 1) from a seekable sample stream, in fixed pieces that one plain
+W ~ CN(0, 1) from a seekable sample stream, in fixed blocks that one plain
 thread per core runs, or the calling thread alone on one core;
 capacity.cc_mutual_information_mc, which works in units of the noise scale,
 runs it as a reproducible cross-check that also reports a standard error.
@@ -35,15 +35,11 @@ _LAST_SHIFT = np.uint64(31)
 _FLOAT_SHIFT = np.uint64(11)
 _MAX_SAMPLES = 2**63
 # Monte-Carlo samples are drawn, evaluated and reduced to (count, mean, M2)
-# in pieces of _PIECE, which are merged in sample order. The grid is fixed, so
-# the result does not depend on how many cores run the pieces.
-_PIECE = 1 << 16
-# A piece is drawn and evaluated _SUB_BLOCK samples at a time, so that the
-# samples (128 KiB, their uniforms drawn in place) and the integrand's
-# temporaries stay in a 2 MiB L2 cache; only the piece's values, 512 KiB, are
-# kept whole. A sample's value does not depend on the sub-block it is drawn
-# in.
-_SUB_BLOCK = 1 << 13
+# in blocks of _BLOCK, which are merged in sample order. The grid is fixed, so
+# the result does not depend on how many cores run the blocks. A block's
+# samples (128 KiB, their uniforms drawn in place), its values and the
+# integrand's temporaries stay in a 2 MiB L2 cache.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -172,8 +168,8 @@ class ComplexGaussianStream:
         The 2 * count SplitMix64 outputs, and then their uniforms, are
         drawn in place in the returned array, outputs 2k + 1 and 2k + 2 in
         the real and imaginary parts of sample k, so a take allocates only
-        its samples and their radii. mc_expect_complex_gaussian takes at
-        most _SUB_BLOCK samples at a time.
+        its samples and their radii. mc_expect_complex_gaussian takes one
+        block of at most _BLOCK samples at a time.
         """
         if start < 0 or count < 0:
             raise ValueError("sample indices must be nonnegative")
@@ -220,28 +216,25 @@ def _cores() -> int:
 def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float]:
     """Seeded Monte-Carlo estimate of E[f(W)], W ~ CN(0, 1).
 
-    The samples are summed up as (count, mean, M2) in fixed pieces of _PIECE
-    samples. They are run a window of four pieces per available core at a
-    time, by one worker per core: the calling thread if there is one core,
-    else one helper thread per core, joined before the window is merged.
-    Each worker takes the window's next piece until none is left or one has
-    failed. A one-core run starts no thread. A piece is drawn and passed to
-    f _SUB_BLOCK samples at a time; a sub-block's samples live only until f
-    has returned. Only the piece's values, 512 KiB, are kept: each worker
-    has one buffer of them, made once per call, because glibc gives a free
-    block that large back to the system, and a fresh one would fault in new
-    pages for every piece or window. The pieces are merged in sample order
+    The samples are drawn, passed to f and summed up as (count, mean, M2) in
+    fixed blocks of _BLOCK samples. They are run a window of 32 blocks per
+    available core at a time, by one worker per core: the calling thread if
+    there is one core, else one helper thread per core, joined before the
+    window is merged. Each worker takes the window's next block until none
+    is left or one has failed. A one-core run starts no thread. A block's
+    samples live only until f has returned, and its values only until they
+    are reduced, in their own array. The blocks are merged in sample order
     by the pairwise update of Chan, Golub & LeVeque, and the first failure
-    in sample order is raised, so a failing piece ends the run without
+    in sample order is raised, so a failing block ends the run without
     drawing the windows after it.
 
     Parameters
     ----------
     f : callable
         Vectorised real-valued function: a complex ndarray of samples in, a
-        float ndarray of the same shape out. It is called at the same time
-        from several threads, on disjoint sub-blocks of the sample stream,
-        so it must be thread-safe.
+        new float ndarray of the same shape out, which the call overwrites.
+        It is called at the same time from several threads, on disjoint
+        blocks of the sample stream, so it must be thread-safe.
     cfg : MCConfig
         Sample count and seed.
 
@@ -253,11 +246,8 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     """
     stream = ComplexGaussianStream(cfg)
 
-    def piece(start: int, values: np.ndarray) -> tuple[int, float, float]:
-        values = values[:min(_PIECE, cfg.samples - start)]
-        for lo in range(0, values.size, _SUB_BLOCK):
-            n = min(_SUB_BLOCK, values.size - lo)
-            values[lo:lo + n] = f(stream.take(start + lo, n))
+    def block(start: int) -> tuple[int, float, float]:
+        values = f(stream.take(start, min(_BLOCK, cfg.samples - start)))
         if not np.all(np.isfinite(values)):
             k = int(np.argwhere(~np.isfinite(values))[0][0])
             raise ValueError(
@@ -273,20 +263,18 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
     mean = 0.0
     m2 = 0.0
     workers = _cores()
-    window = 4 * workers * _PIECE
-    buffers = [np.empty(min(_PIECE, cfg.samples))
-               for _ in range(min(workers, -(-cfg.samples // _PIECE)))]
+    window = 32 * workers * _BLOCK
     for first in range(0, cfg.samples, window):
-        starts = range(first, min(first + window, cfg.samples), _PIECE)
-        # Each slot gets the piece's (count, mean, M2) or the exception it
-        # raised. Pieces are taken in order and every piece taken is run, so
+        starts = range(first, min(first + window, cfg.samples), _BLOCK)
+        # Each slot gets the block's (count, mean, M2) or the exception it
+        # raised. Blocks are taken in order and every block taken is run, so
         # a slot left empty comes after a failed one.
         results: list = [None] * len(starts)
         todo = iter(range(len(starts)))
         lock = threading.Lock()
         failed = False
 
-        def work(values: np.ndarray) -> None:
+        def work() -> None:
             nonlocal failed
             while not failed:
                 with lock:
@@ -294,7 +282,7 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
                 if k is None:
                     return
                 try:
-                    results[k] = piece(starts[k], values)
+                    results[k] = block(starts[k])
                 # Kept for the caller, which raises it below, as an executor
                 # would; an interrupt also stops the other workers.
                 except BaseException as exc:
@@ -302,18 +290,18 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
                     failed = True
 
         # One worker runs on the calling thread. More run on helper threads
-        # alone: a main thread that ran pieces beside them kept its
-        # sub-block temporaries in glibc's main arena, which trimmed and
-        # faulted them in again on every sub-block (about 11k more minor
-        # faults per repeated 10^6-sample qam16 call on 2 cores).
+        # alone: a main thread that ran blocks beside them kept its
+        # temporaries in glibc's main arena, which trimmed and faulted them
+        # in again on every block (about 11k more minor faults per repeated
+        # 10^6-sample qam16 call on 2 cores).
         n_workers = min(workers, len(starts))
         if n_workers == 1:
-            work(buffers[0])
+            work()
         else:
             helpers = []
             try:
-                for values in buffers[:n_workers]:
-                    helper = threading.Thread(target=work, args=(values,))
+                for _ in range(n_workers):
+                    helper = threading.Thread(target=work)
                     helper.start()
                     helpers.append(helper)
             finally:

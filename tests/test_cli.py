@@ -499,7 +499,7 @@ def test_empty_sigma2_is_a_usage_error(command, tmp_path):
 
 
 # CLI bytes of Monte-Carlo runs from the SplitMix64 stream; the estimate must
-# not depend on how the pieces are scheduled.
+# not depend on how the blocks are scheduled.
 FROZEN_MC_MI = (
     "constellation,snr_db,sigma_sq,mi_main,mi_eve,cc_sc,gc_sc,gaussian_cap\n"
     "qam16,10,1,3.1643511,3.1643511,0,0,3.45943162\n"
@@ -1055,7 +1055,7 @@ def test_quadrature_commands_do_not_import_numpy_polynomial(tmp_path):
 
 
 def test_monte_carlo_commands_do_not_import_concurrent_futures(tmp_path):
-    # The Monte-Carlo pieces run on plain threads; an executor would import
+    # The Monte-Carlo blocks run on plain threads; an executor would import
     # logging, queue, heapq, traceback and string, about 0.5 MB per child.
     # The SplitMix64 stream needs no numpy.random, about 5.6 MB per child.
     code = (

@@ -126,13 +126,13 @@ def test_mc_modulus_squared_statistics():
     assert abs(mean - 1.0) <= 4.0 * stderr
 
 
-# Sample counts around the piece grid (2^16) and the four-pieces-per-worker
+# Sample counts around the block grid (2^13) and the 32-blocks-per-worker
 # windows of the merge (2^19 on two workers), and the 10^6 of the
 # benchmark's Monte-Carlo workload.
-PIECE_EDGE_SAMPLES = [3, 2**16 + 3, 2**19 + 1, 10**6]
+BLOCK_EDGE_SAMPLES = [3, 2**13 + 1, 2**16 + 3, 2**19 + 1, 2**19 + 2**13 + 1, 10**6]
 
 
-@pytest.mark.parametrize("samples", PIECE_EDGE_SAMPLES)
+@pytest.mark.parametrize("samples", BLOCK_EDGE_SAMPLES)
 def test_mc_result_does_not_depend_on_the_core_count(monkeypatch, samples):
     cfg = MCConfig(samples, 17)
     results = []
@@ -157,11 +157,11 @@ def test_mc_reports_the_first_nonfinite_sample_across_pieces():
 
 
 def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
-    # On two cores two helper threads take pieces from a window of eight,
-    # and no piece of the next window is drawn before the window is merged.
-    # So while a slow first piece fails, the other helper draws at most seven
-    # more pieces of the 64, however fast it runs. A piece is drawn a
-    # sub-block at a time, so the draws are counted by piece.
+    # On two cores two helper threads take blocks from a window of 2^19
+    # samples, and no block of the next window is drawn before the window is
+    # merged. So while a slow first block fails, the other helper draws only
+    # blocks of the first window, however fast it runs: at most 8 of the 64
+    # ranges of 2^16 samples.
     monkeypatch.setattr(integrate, "_cores", lambda: 2)
     cfg = MCConfig(2**22, 3)
     first = integrate.ComplexGaussianStream(cfg).take(0, 1)[0]
@@ -185,8 +185,8 @@ def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
 
 
 def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
-    # Two helpers take one piece each, and each piece takes a while: the
-    # call may raise the first piece's error only once both helpers are done.
+    # Two helpers take blocks, and each block takes a while: the call may
+    # raise the first block's error only once both helpers are done.
     class Boom(Exception):
         pass
 
@@ -196,7 +196,7 @@ def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
     def f(z):
         if z[0] == first:
             time.sleep(0.1)
-            raise Boom("raised in the first piece")
+            raise Boom("raised in the first block")
         time.sleep(0.02)
         return np.abs(z)
 
@@ -205,25 +205,6 @@ def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
     with pytest.raises(Boom):
         mc_expect_complex_gaussian(f, cfg)
     assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_mc_makes_one_values_buffer_per_worker_per_call(cores, monkeypatch):
-    # glibc gives a free 512 KiB block back to the system, so a buffer made
-    # per window would fault its pages in again for every window. Here the
-    # second window of 2^19 + 1 samples holds a single piece.
-    made = []
-    empty = np.empty
-
-    def spy(shape, *args, **kwargs):
-        if shape == integrate._PIECE:
-            made.append(shape)
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(integrate, "_cores", lambda: cores)
-    monkeypatch.setattr(np, "empty", spy)
-    mc_expect_complex_gaussian(np.abs, MCConfig(2**19 + 1, 5))
-    assert len(made) == cores
 
 
 def test_mc_worker_exception_reaches_the_caller():
@@ -318,8 +299,8 @@ def test_reference_generator_outputs_are_pinned():
 def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
     # Takes of any start and length, in any order, give the samples of the
     # class docstring. take draws a take's uniforms in one call; a take that
-    # read _SUB_BLOCK again would split each of these takes into 7s.
-    monkeypatch.setattr(integrate, "_SUB_BLOCK", 7)
+    # read _BLOCK again would split each of these takes into 7s.
+    monkeypatch.setattr(integrate, "_BLOCK", 7)
     want = _formula_samples(_splitmix64(5, 2 * 63))[3:]
     stream = integrate.ComplexGaussianStream(MCConfig(10, 5))
     got = [stream.take(3, 20), stream.take(23, 1),
@@ -331,9 +312,9 @@ def test_stream_takes_in_any_run_give_the_formula_samples(monkeypatch):
 def test_stream_can_be_shared_between_threads(monkeypatch):
     # Four threads take from one stream, switching every microsecond; each
     # take gives what a lone take of the same range gives. take reads no
-    # _SUB_BLOCK; a take that did would draw each 50-sample take in ten
-    # sub-blocks for the threads to interleave.
-    monkeypatch.setattr(integrate, "_SUB_BLOCK", 5)
+    # _BLOCK; a take that did would draw each 50-sample take in ten blocks
+    # for the threads to interleave.
+    monkeypatch.setattr(integrate, "_BLOCK", 5)
     stream = integrate.ComplexGaussianStream(MCConfig(10, 3))
     starts = [97 * k for k in range(64)]
     want = [stream.take(start, 50) for start in starts]
