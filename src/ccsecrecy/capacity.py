@@ -394,23 +394,17 @@ def _add_mean_log_mixture(out: np.ndarray, coords: list[np.ndarray],
         clamp = -coef[-1].min() > _MC_CLAMP_FREE
         coef = coef.reshape(width, r * k)
         step = max(1, _MC_BLOCK_BYTES // (8 * r * k))
-        b = min(step, max(out.size, 2))
+        b = min(step, out.size)
         rows = np.empty((b, width))
         rows[:, -1] = 1.0
         expo = np.empty((b, r * k))
         logs = np.empty(b * r)
         means = np.empty(b)
         for lo in range(0, out.size, step):
-            # matmul runs one row through other BLAS routines than it
-            # runs two (gemv and dot rather than gemm and gemv), which
-            # round differently. So a lone sample after the last full
-            # block is evaluated twice, as a block of two, and no sample
-            # takes another value for where the blocks end.
             n = min(step, out.size - lo)
-            b = 2 if n == 1 < step else n
             for col, x in enumerate(coords):
-                rows[:b, col] = x[lo:lo + n]
-            e = np.matmul(rows[:b], coef, out=expo[:b])
+                rows[:n, col] = x[lo:lo + n]
+            e = np.matmul(rows[:n], coef, out=expo[:n])
             # No max shift is needed: each exponent is at most |w|^2, which
             # for a stream sample is -ln(1 - u) < 37 since u <= 1 - 2^-53, so
             # exp cannot overflow; the j = i term is exactly exp(0) = 1, so
@@ -421,11 +415,11 @@ def _add_mean_log_mixture(out: np.ndarray, coords: list[np.ndarray],
             if clamp:
                 np.maximum(e, _EXP_FLOOR, out=e)
             np.exp(e, out=e)
-            s = np.matmul(e.reshape(b * r, k), ones, out=logs[:b * r])
+            s = np.matmul(e.reshape(n * r, k), ones, out=logs[:n * r])
             np.log(s, out=s)
-            mean = np.matmul(s.reshape(b, r), ones[:r], out=means[:b])
+            mean = np.matmul(s.reshape(n, r), ones[:r], out=means[:n])
             mean /= k
-            out[lo:lo + n] += mean[:n]
+            out[lo:lo + n] += mean
 
 
 def cc_mutual_information_mc(
@@ -491,9 +485,8 @@ def cc_secrecy_capacity(
     main = cc_mutual_information(c, ch.snr, 1.0, rule)
     eve = cc_mutual_information(c, ch.snr, ch.sigma_sq, rule)
     raw = np.subtract(main.bits, eve.bits)
-    bits = np.maximum(raw, 0.0)
-    clamp = bits - raw
-    return MIEstimate(_shaped(bits), f"gauss_hermite(order={rule.order})", _shaped(clamp))
+    bits, clamp = _clamp_bits(raw, math.log2(c.size), strict=False)
+    return MIEstimate(bits, f"gauss_hermite(order={rule.order})", clamp)
 
 
 def gaussian_channel_capacity(snr: float) -> float:

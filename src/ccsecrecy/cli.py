@@ -176,11 +176,14 @@ def _check_out(out) -> None:
 
     Run before any work, so that a long run is not thrown away at the end.
     An existing file needs write permission on itself, a new one on its
-    directory. An empty --out means stdout, as in _emit.
+    directory. An empty --out means stdout, as in _emit. A symlink whose
+    target does not exist is checked at that target, which opening it creates.
     """
     if not out:
         return
     path = Path(out)
+    if path.is_symlink() and not path.exists():
+        path = Path(os.path.realpath(out))
     if path.is_dir():
         raise OSError(f"--out: {out} is a directory")
     if path.exists():

@@ -6,10 +6,13 @@ Oracle constants come from tools/gen_fixtures.py: an independent 10M-sample
 Monte-Carlo run and 0.05 dB dense-grid scans, frozen here as fixtures.
 """
 
+import importlib.util
 import math
+import sys
 import time
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +235,22 @@ def test_criterion_09_peak_matches_dense_grid_oracle(refined_maxima):
         # errors of the frozen 10M-sample estimate.
         quad = cc_mutual_information(make_bpsk(), 1.0, 1.0, gauss_hermite(32)).bits
         assert abs(quad - MC_ORACLE_BPSK_MI) <= 4.0 * MC_ORACLE_BPSK_STDERR
+
+
+def test_fixture_tool_still_gives_the_dense_peaks(monkeypatch):
+    # tools/gen_fixtures.py regenerates DENSE_PEAK through the library API;
+    # loading it here keeps it in step with that API. Its 10^7-sample main()
+    # is not run. The module puts "src" on sys.path when loaded.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name, c in REFERENCE[:2]:
+        db, bits = tool.dense_grid_peak(c, 5.0)
+        want_db, want_bits = DENSE_PEAK[name]
+        assert abs(db - want_db) <= 1e-12, name
+        assert bits == want_bits, name
 
 
 def test_criterion_10_peak_trends_with_eavesdropper_noise():

@@ -830,6 +830,23 @@ def test_writable_out_is_accepted(where, monkeypatch, tmp_path, capsys):
         assert captured.out.startswith("constellation,")
 
 
+# Opening a symlink whose target does not exist creates the target, so the
+# check looks at the target's directory, not the link's.
+def test_dangling_out_symlink_is_checked_at_its_target(monkeypatch, tmp_path, capsys):
+    calls = _count_rate_calls(monkeypatch)
+    args = ["mi", "--constellation", "qam16", "--snr-db", "10", "--out"]
+    broken = tmp_path / "broken.csv"
+    broken.symlink_to(tmp_path / "no_such_dir" / "mi.csv")
+    assert run_cli(args + [str(broken)]) == 2
+    assert calls == {}
+    assert capsys.readouterr().err.startswith("error: --out: ")
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "new.csv")
+    assert run_cli(args + [str(link)]) == 0
+    assert link.is_symlink()
+    assert len(_read_rows(tmp_path / "new.csv")[1]) == 1
+
+
 # Finite but extreme values are domain errors raised where they enter. Both
 # used to overflow in the quadrature: a --sigma2 of 1e308 exited 2 with
 # "mutual information is not finite: got nan" after numpy overflow warnings,
