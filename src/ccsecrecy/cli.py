@@ -133,6 +133,19 @@ def _parse_sigma_list(text: str) -> tuple[float, ...]:
     return _numbers(text.split(","), "--sigma2", text, "a comma list of numbers")
 
 
+def _check_table(flag: str, points: int, sigmas) -> None:
+    """Raise a usage error when a grid's points times the noise ratios exceed MAX_GRID_POINTS.
+
+    Each grid's own cap does not bound the table the two make together.
+    """
+    cells = points * len(sigmas)
+    if cells > MAX_GRID_POINTS:
+        raise UsageError(
+            f"{flag} and --sigma2: {points} points x {len(sigmas)} noise ratios make "
+            f"{cells} table cells, more than {MAX_GRID_POINTS}"
+        )
+
+
 def _fmt(value, digits: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -202,6 +215,7 @@ def _cmd_rates(ns) -> int:
     snr_db = _parse_grid(ns.snr_db, "--snr-db")
     snr = _as_usage("--snr-db", db_to_linear, snr_db).tolist()
     sigmas = _parse_sigma_list(ns.sigma2)
+    _check_table("--snr-db", len(snr_db), sigmas)
     c = parse_constellation_selector(ns.constellation)
     # The channel rejects a ratio below 1 before any rate is computed.
     gauss_sc = gaussian_secrecy_capacity(WiretapChannel(snr, np.array(sigmas)[:, None])).tolist()
@@ -239,6 +253,7 @@ def _cmd_peaks(ns) -> int:
         raise UsageError("maximize takes a single --sigma2 value; use max-sweep for lists")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise UsageError(f"--sigma2: max-sweep takes strictly ascending values, got {ns.sigma2!r}")
+    _check_table("--scan-db", len(grid_points(lo, hi, step)), sigmas)
     c = parse_constellation_selector(ns.constellation)
     rows = [{"constellation": c.name, **asdict(r)} for r in sweep_max_vs_sigma(c, sigmas, opts)]
     return _emit(ns, PEAK_COLUMNS, rows, method="gauss_hermite", gh_order=opts.gh_order,
@@ -302,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
         if func is _cmd_constellation:
             continue
         p.add_argument("--sigma2", required=name != "mi", default="1" if name == "mi" else None,
-                       help="eavesdropper noise ratio(s): comma list or lo:hi:step "
-                            f"of at most {MAX_GRID_POINTS} points")
+                       help="eavesdropper noise ratio(s): comma list or lo:hi:step; their "
+                            f"count times the SNR or scan points at most {MAX_GRID_POINTS}")
         p.add_argument("--gh-order", type=_gh_order, default=32,
                        help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
         if func is _cmd_rates:
             p.add_argument("--snr-db", required=True,
-                           help="SNR in dB: a value or start:stop:step of at most "
-                                f"{MAX_GRID_POINTS} points "
+                           help="SNR in dB: a value or start:stop:step; its points times "
+                                f"the --sigma2 values at most {MAX_GRID_POINTS} "
                                 "(write --snr-db=-10:40:0.5 when it starts negative)")
             p.add_argument("--mc-samples", type=_mc_samples, default=None,
                            help="switch to Monte-Carlo with this many samples, in [2, 2^63)")
@@ -317,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Monte-Carlo seed in [0, 2^64) (default 0)")
         else:
             p.add_argument("--scan-db", default="-30:50:0.5",
-                           help="coarse scan window lo:hi:step in dB, at most "
-                                f"{MAX_GRID_POINTS} points "
+                           help="coarse scan window lo:hi:step in dB; its points times "
+                                f"the --sigma2 values at most {MAX_GRID_POINTS} "
                                 "(write --scan-db=-30:50:0.5 when it starts negative)")
             p.add_argument("--tol-db", type=_tol_db, default=0.01,
                            help="refinement tolerance in dB, above 0 (default 0.01)")

@@ -292,8 +292,10 @@ def mc_expect_complex_gaussian(f: Callable, cfg: MCConfig) -> tuple[float, float
         # One worker runs on the calling thread. More run on helper threads
         # alone: a main thread that ran blocks beside them kept its
         # temporaries in glibc's main arena, which trimmed and faulted them
-        # in again on every block (about 11k more minor faults per repeated
-        # 10^6-sample qam16 call on 2 cores).
+        # in again on every block (9k to 13k more minor faults per repeated
+        # 10^6-sample qam16 call on 2 cores). Whether the arena churns
+        # depends on the heap's history: it did with the package loaded from
+        # its bytecode cache, and not with it compiled from source.
         n_workers = min(workers, len(starts))
         if n_workers == 1:
             work()

@@ -738,9 +738,9 @@ def test_mc_memory_holds_one_block_per_worker(monkeypatch):
         assert peak <= 2.25 * 2**20, (c.name, peak)
 
 
-def test_mc_mi_pieces_share_no_buffers_under_thread_switching(monkeypatch):
+def test_mc_mi_blocks_share_no_buffers_under_thread_switching(monkeypatch):
     # Eight workers on fewer cores, switching threads every microsecond: a
-    # kernel buffer shared between pieces would mix their samples.
+    # kernel buffer shared between blocks would mix their samples.
     cfg = MCConfig(2**19, 8)
     monkeypatch.setattr(integrate, "_cores", lambda: 1)
     want = cc_mutual_information_mc(make_qam(16), 10.0, 1.0, cfg)

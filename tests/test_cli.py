@@ -618,9 +618,9 @@ def test_first_capacity_work_goes_through_a_benchmark_entry_point(args, monkeypa
 
 
 def _count_rate_calls(monkeypatch) -> dict:
-    """Count the CLI's mutual-information calls of each kind, passing them on."""
+    """Count the CLI's rate and peak-search calls of each kind, passing them on."""
     calls = {}
-    for name in ("cc_mutual_information", "cc_mutual_information_mc"):
+    for name in ("cc_mutual_information", "cc_mutual_information_mc", "sweep_max_vs_sigma"):
         real = getattr(cli, name)
 
         def spy(*a, name=name, real=real, **k):
@@ -721,9 +721,10 @@ def test_public_surface():
     assert list(commands) == ["mi", "sweep", "maximize", "max-sweep", "constellation"]
 
 
-# Grids above the point cap and dB values whose linear ratio overflows a
-# float are usage errors that name the flag; they used to end in a numpy
-# MemoryError traceback or "(34, 'Numerical result out of range')".
+# Grids above the point cap, tables of more cells than it and dB values whose
+# linear ratio overflows a float are usage errors that name the flag; they
+# used to end in a numpy MemoryError traceback or "(34, 'Numerical result out
+# of range')", and a table of 2 * 10^6 rows was built and written.
 @pytest.mark.parametrize(
     "args, flag",
     [
@@ -741,9 +742,11 @@ def test_public_surface():
          "--scan-db"),
         (["maximize", "--constellation", "bpsk", "--sigma2", "5", "--scan-db=50:-30:0.5"],
          "--scan-db"),
+        (["sweep", "--constellation", "qam16", "--snr-db=0:999.999:0.001", "--sigma2", "1,2"],
+         "--snr-db and --sigma2"),
     ],
     ids=["scan-points", "scan-span", "snr-points", "sigma2-points", "snr-overflow",
-         "snr-range-overflow", "scan-overflow", "scan-reversed"],
+         "snr-range-overflow", "scan-overflow", "scan-reversed", "table-cells"],
 )
 def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -881,6 +884,39 @@ def test_snr_of_3000_db_computes(mc, tmp_path):
 def test_grid_at_the_point_cap_is_accepted():
     grid = _parse_grid(f"0:1:{1.0 / (optimize.MAX_GRID_POINTS - 1)!r}", "--snr-db")
     assert len(grid) == optimize.MAX_GRID_POINTS
+
+
+# Each grid's own cap does not bound the table two grids make together: a
+# rate table has a row per SNR and noise ratio, a peak scan a cell per scan
+# point and noise ratio. With the cap at 8, 4 x 2 runs and 3 x 3 does not.
+@pytest.mark.parametrize(
+    "command, flag, at_cap, rows, over",
+    [
+        (["sweep", "--constellation", "qam4"], "--snr-db",
+         ["--snr-db", "0:3:1", "--sigma2", "1,2"], 8,
+         ["--snr-db", "0:2:1", "--sigma2", "1,2,3"]),
+        (["max-sweep", "--constellation", "qam16"], "--scan-db",
+         ["--scan-db", "0:30:10", "--sigma2", "5,10"], 2,
+         ["--scan-db", "0:20:10", "--sigma2", "5,10,15"]),
+    ],
+    ids=["sweep", "max-sweep"],
+)
+def test_tables_over_the_cap_are_usage_errors_before_any_rate(
+    command, flag, at_cap, rows, over, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+    calls = _count_rate_calls(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert run_cli(command + at_cap + ["--out", str(out)]) == 0
+    assert len(_read_rows(out)[1]) == rows
+    assert sum(calls.values()) == 1
+    out.unlink()
+    calls.clear()
+    capsys.readouterr()
+    assert run_cli(command + over + ["--out", str(out)]) == 1
+    assert calls == {}
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} and --sigma2: ")
 
 
 # CLI bytes recorded before the rate and peak commands shared one emitter.

@@ -144,7 +144,7 @@ def test_mc_result_does_not_depend_on_the_core_count(monkeypatch, samples):
     assert results[0] == results[1]
 
 
-def test_mc_reports_the_first_nonfinite_sample_across_pieces():
+def test_mc_reports_the_first_nonfinite_sample_across_blocks():
     bad = 2**16 + 5
     cfg = MCConfig(2**17, 3)
     target = integrate.ComplexGaussianStream(cfg).take(bad, 1)[0]
@@ -156,7 +156,7 @@ def test_mc_reports_the_first_nonfinite_sample_across_pieces():
         mc_expect_complex_gaussian(f, cfg)
 
 
-def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
+def test_mc_stops_drawing_after_a_failing_block(monkeypatch):
     # On two cores two helper threads take blocks from a window of 2^19
     # samples, and no block of the next window is drawn before the window is
     # merged. So while a slow first block fails, the other helper draws only
@@ -184,7 +184,7 @@ def test_mc_stops_drawing_after_a_failing_piece(monkeypatch):
     assert len(drawn) <= 8, sorted(drawn)
 
 
-def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
+def test_mc_joins_its_helper_threads_when_a_block_raises(monkeypatch):
     # Two helpers take blocks, and each block takes a while: the call may
     # raise the first block's error only once both helpers are done.
     class Boom(Exception):
@@ -205,6 +205,24 @@ def test_mc_joins_its_helper_threads_when_a_piece_raises(monkeypatch):
     with pytest.raises(Boom):
         mc_expect_complex_gaussian(f, cfg)
     assert threading.active_count() == before
+
+
+def test_mc_runs_one_helper_thread_per_core_beside_a_waiting_caller(monkeypatch):
+    # On three cores a window of three blocks has three workers, each held at
+    # the barrier with one block: three helper threads, not the calling
+    # thread, whose temporaries would churn glibc's main arena.
+    monkeypatch.setattr(integrate, "_cores", lambda: 3)
+    barrier = threading.Barrier(3, timeout=10)
+    threads = []
+
+    def f(z):
+        barrier.wait()
+        threads.append(threading.get_ident())
+        return np.abs(z)
+
+    mc_expect_complex_gaussian(f, MCConfig(3 * integrate._BLOCK, 5))
+    assert len(set(threads)) == 3
+    assert threading.get_ident() not in threads
 
 
 def test_mc_worker_exception_reaches_the_caller():

@@ -41,7 +41,6 @@ def mc_bpsk_entropy_and_mi():
     rng = np.random.default_rng(MC_SEED)
     points = np.array([1.0 + 0.0j, -1.0 + 0.0j])
     m = points.size
-    total = np.zeros(0)
     chunks = []
     for _ in range(10):
         n = (rng.standard_normal(MC_SAMPLES // 10)
