@@ -444,6 +444,9 @@ def cc_mutual_information_mc(
     skipped. A sample so costs |A|^2 + |B|^2 exponentials and |A| + |B|
     logarithms (32 and 8 for qam16) instead of M^2 and M (256 and 16).
     """
+    for name, value in (("snr", snr), ("noise variance", variance)):
+        if np.ndim(value):
+            raise ValueError(f"{name} must be a number, got an array of shape {np.shape(value)}")
     snr, variance = map(float, _checked_channel(snr, variance))
     m = c.size
     ratio = math.sqrt(snr / variance)
@@ -489,9 +492,10 @@ def cc_secrecy_capacity(
     return MIEstimate(bits, f"gauss_hermite(order={rule.order})", clamp)
 
 
-def gaussian_channel_capacity(snr: float) -> float:
-    """Shannon capacity log2(1 + snr) of the complex-AWGN channel."""
-    return math.log2(1.0 + float(_checked("snr", snr, zero_ok=True)))
+def gaussian_channel_capacity(snr: float | np.ndarray) -> float | np.ndarray:
+    """Shannon capacity log2(1 + snr) of the complex-AWGN channel, each element as a float's."""
+    snr = _checked("snr", snr, zero_ok=True)
+    return _shaped(np.reshape([math.log2(1.0 + s) for s in snr.ravel().tolist()], snr.shape))
 
 
 def gaussian_secrecy_capacity(ch: WiretapChannel) -> float | np.ndarray:

@@ -120,17 +120,10 @@ def _as_usage(flag: str, fn, *args):
 
 
 def _parse_grid(text: str, flag: str) -> tuple[float, ...]:
-    """Parse '<value>' or '<start>:<stop>:<step>' (stop inclusive on the grid)."""
+    """Parse '<start>:<stop>:<step>' (stop inclusive on the grid) or a comma list of numbers."""
     if ":" in text:
         return tuple(_as_usage(flag, grid_points, *_parse_range(text, flag)).tolist())
-    return _numbers([text], flag, text, "a number")
-
-
-def _parse_sigma_list(text: str) -> tuple[float, ...]:
-    """Parse a comma list or start:stop:step range of noise ratios."""
-    if ":" in text:
-        return _parse_grid(text, "--sigma2")
-    return _numbers(text.split(","), "--sigma2", text, "a comma list of numbers")
+    return _numbers(text.split(","), flag, text, "a comma list of numbers")
 
 
 def _check_table(flag: str, points: int, sigmas) -> None:
@@ -213,9 +206,9 @@ def _check_out(out) -> None:
 def _cmd_rates(ns) -> int:
     """mi and sweep: rate rows from one table of MI per distinct noise variance and SNR."""
     snr_db = _parse_grid(ns.snr_db, "--snr-db")
-    snr = _as_usage("--snr-db", db_to_linear, snr_db).tolist()
-    sigmas = _parse_sigma_list(ns.sigma2)
+    sigmas = _parse_grid(ns.sigma2, "--sigma2")
     _check_table("--snr-db", len(snr_db), sigmas)
+    snr = _as_usage("--snr-db", db_to_linear, snr_db).tolist()
     c = parse_constellation_selector(ns.constellation)
     # The channel rejects a ratio below 1 before any rate is computed.
     gauss_sc = gaussian_secrecy_capacity(WiretapChannel(snr, np.array(sigmas)[:, None])).tolist()
@@ -232,7 +225,7 @@ def _cmd_rates(ns) -> int:
                 "seed": ns.seed}
     main = table[0]
     eves = [table[variances.index(sigma_sq)] for sigma_sq in sigmas]
-    caps = [gaussian_channel_capacity(s) for s in snr]
+    caps = gaussian_channel_capacity(snr).tolist()
     rows = [
         dict(zip(RATE_COLUMNS, (c.name, db, sigma_sq, main[k], eve[k],
                                 max(0.0, main[k] - eve[k]), gauss_row[k], caps[k])))
@@ -248,7 +241,7 @@ def _cmd_peaks(ns) -> int:
     # argparse has checked --tol-db and --gh-order, so SearchOptions can only
     # reject the scan grid: its order, its size, or a top value that overflows.
     opts = _as_usage("--scan-db", SearchOptions, lo, hi, step, ns.tol_db, ns.gh_order)
-    sigmas = _parse_sigma_list(ns.sigma2)
+    sigmas = _parse_grid(ns.sigma2, "--sigma2")
     if ns.command == "maximize" and len(sigmas) != 1:
         raise UsageError("maximize takes a single --sigma2 value; use max-sweep for lists")
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
@@ -317,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
         if func is _cmd_constellation:
             continue
         p.add_argument("--sigma2", required=name != "mi", default="1" if name == "mi" else None,
-                       help="eavesdropper noise ratio(s): comma list or lo:hi:step; their "
+                       help="eavesdropper noise ratio(s): a comma list or start:stop:step; their "
                             f"count times the SNR or scan points at most {MAX_GRID_POINTS}")
         p.add_argument("--gh-order", type=_gh_order, default=32,
                        help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
         if func is _cmd_rates:
             p.add_argument("--snr-db", required=True,
-                           help="SNR in dB: a value or start:stop:step; its points times "
+                           help="SNR in dB: a comma list or start:stop:step; its points times "
                                 f"the --sigma2 values at most {MAX_GRID_POINTS} "
                                 "(write --snr-db=-10:40:0.5 when it starts negative)")
             p.add_argument("--mc-samples", type=_mc_samples, default=None,

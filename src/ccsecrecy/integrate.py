@@ -136,6 +136,8 @@ def gauss_hermite(n: int) -> HermiteRule:
         Calls with the same order share it; it is frozen and its arrays are
         read-only.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"quadrature order must be an integer, got {n!r}")
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {n}")
     nodes, weights = _hermite_rule(n)

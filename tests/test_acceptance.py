@@ -26,6 +26,7 @@ from ccsecrecy import (
     cc_secrecy_capacity,
     db_to_linear,
     find_secrecy_maximum,
+    from_points,
     gauss_hermite,
     gaussian_secrecy_capacity,
     make_bpsk,
@@ -52,6 +53,12 @@ MC_ORACLE_BPSK_STDERR = 3.670e-04
 DENSE_PEAK = {
     "bpsk": (1.85, 0.5098278375296807),
     "qam4": (4.85, 1.0196487417166562),
+}
+#   the same scan of the two-scale set hq16(0.2) at order 200 (order 128
+#   agrees within 1e-7 bits): both local maxima (snr_db, bits), low SNR first
+TWO_SCALE_MAXIMA = {
+    2.0: ((4.15, 0.5064741619554836), (17.35, 0.471528788640005)),
+    5.0: ((6.15, 1.1184974852100673), (18.9, 1.0235119287891346)),
 }
 
 MC_SEED = 11
@@ -251,6 +258,36 @@ def test_fixture_tool_still_gives_the_dense_peaks(monkeypatch):
         want_db, want_bits = DENSE_PEAK[name]
         assert abs(db - want_db) <= 1e-12, name
         assert bits == want_bits, name
+    for sigma_sq, want in TWO_SCALE_MAXIMA.items():
+        got = tool.two_scale_maxima(sigma_sq)
+        assert len(got) == len(want), sigma_sq
+        for (db, bits), (want_db, want_bits) in zip(got, want):
+            assert abs(db - want_db) <= 1e-12, sigma_sq
+            assert bits == want_bits, sigma_sq
+
+
+def test_two_scale_set_breaks_the_single_peak_conjecture():
+    # hq16(0.2), DVB-T's hierarchical 16-QAM with alpha = 4: its secrecy
+    # curve has a maximum per resolution level. The search flags that the
+    # scan saw two and reports the higher one, at the dense-grid tolerances.
+    qpsk = make_qam(4).points.tolist()
+    c = from_points([q + 0.2 * p for q in qpsk for p in qpsk], name="hq16")
+    sigmas = list(TWO_SCALE_MAXIMA)
+    for row in sweep_max_vs_sigma(c, sigmas):
+        assert row.grid_local_maxima == 2 and row.unimodal_ok is False, row
+        want_db, want_bits = max(TWO_SCALE_MAXIMA[row.sigma_sq], key=lambda m: m[1])
+        assert abs(row.snr_max_db - want_db) <= 0.05, row
+        assert abs(row.c_max - want_bits) <= 1e-4, row
+    # The default 0.5 dB scan has both maxima, each at the grid point nearest its dense one.
+    opts = SearchOptions()
+    grid, curves = scan_secrecy_grid(c, np.array(sigmas)[:, None], opts)
+    for sigma_sq, values in zip(sigmas, curves):
+        inner = values[1:-1]
+        ks = 1 + np.flatnonzero((inner > values[:-2]) & (inner > values[2:]))
+        assert len(ks) == 2, sigma_sq
+        for k, (want_db, want_bits) in zip(ks, TWO_SCALE_MAXIMA[sigma_sq]):
+            assert abs(grid[k] - want_db) <= opts.scan_step_db / 2, sigma_sq
+            assert values[k] <= want_bits + 1e-4, sigma_sq
 
 
 def test_criterion_10_peak_trends_with_eavesdropper_noise():

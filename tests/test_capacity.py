@@ -322,6 +322,25 @@ def test_gaussian_channel_capacity_values():
         gaussian_channel_capacity(-1.0)
 
 
+def test_gaussian_channel_capacity_of_an_array_equals_its_scalar_calls():
+    snr = 10.0 ** (np.arange(-300.0, 301.0, 0.37) / 10.0).reshape(-1, 1)
+    caps = gaussian_channel_capacity(snr)
+    assert caps.shape == snr.shape
+    assert caps.ravel().tolist() == [gaussian_channel_capacity(s) for s in snr.ravel().tolist()]
+    assert gaussian_channel_capacity([3.0]).tolist() == [2.0]
+    with pytest.raises(ValueError, match="^snr must be nonnegative, got -1.0$"):
+        gaussian_channel_capacity(np.array([1.0, -1.0]))
+
+
+# The Monte-Carlo rate is for one channel; a grid goes to cc_mutual_information.
+@pytest.mark.parametrize("name", ["snr", "noise variance"])
+def test_mc_rate_rejects_an_array_naming_it(name):
+    args = {"snr": 1.0, "noise variance": 1.0, name: np.array([1.0, 2.0])}
+    message = rf"^{name} must be a number, got an array of shape \(2,\)$"
+    with pytest.raises(ValueError, match=message):
+        cc_mutual_information_mc(make_bpsk(), args["snr"], args["noise variance"], MCConfig(100, 1))
+
+
 def test_gaussian_secrecy_values():
     assert gaussian_secrecy_capacity(WiretapChannel(1.0, 2.0)) == pytest.approx(
         math.log2(2.0) - math.log2(1.5), abs=1e-12

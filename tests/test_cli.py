@@ -25,7 +25,6 @@ from ccsecrecy.cli import (
     parse_constellation_selector,
     run_cli,
     _parse_grid,
-    _parse_sigma_list,
 )
 
 
@@ -137,17 +136,35 @@ def test_grid_parsing():
 
 
 def test_grid_parsing_errors():
-    for text in ("abc", "1:2", "1:2:3:4", "a:b:c", "5:1:1", "0:1:0"):
+    for text in ("abc", "1,x", "1:2", "1:2:3:4", "a:b:c", "5:1:1", "0:1:0"):
         with pytest.raises(UsageError):
             _parse_grid(text, "--snr-db")
+    with pytest.raises(UsageError, match="^--snr-db: expected a comma list of numbers, got 'abc'$"):
+        _parse_grid("abc", "--snr-db")
 
 
 def test_sigma_list_parsing():
-    assert _parse_sigma_list("5,10,15") == (5.0, 10.0, 15.0)
-    assert _parse_sigma_list("4") == (4.0,)
-    assert _parse_sigma_list("2:4:1") == (2.0, 3.0, 4.0)
+    assert _parse_grid("5,10,15", "--sigma2") == (5.0, 10.0, 15.0)
+    assert _parse_grid("4", "--sigma2") == (4.0,)
+    assert _parse_grid("2:4:1", "--sigma2") == (2.0, 3.0, 4.0)
     with pytest.raises(UsageError, match="comma list"):
-        _parse_sigma_list("a,b")
+        _parse_grid("a,b", "--sigma2")
+
+
+# --snr-db and --sigma2 share one list grammar: a comma list and the
+# start:stop:step grid of the same values write the same bytes.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mc", [[], ["--mc-samples", "1000", "--seed", "3"]], ids=["gh", "mc"])
+def test_snr_db_comma_list_writes_the_grid_bytes(fmt, mc, tmp_path):
+    outputs = []
+    for snr_db in ("0,10,20", "0:20:10"):
+        out = tmp_path / f"{len(outputs)}.{fmt}"
+        args = ["sweep", "--constellation", "qam4", "--snr-db", snr_db, "--sigma2", "1,5",
+                "--format", fmt, "--out", str(out)]
+        assert run_cli(args + mc) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) > 6
 
 
 def test_emit_csv_shapes():
@@ -753,6 +770,23 @@ def test_oversized_grids_and_overflowing_db_are_usage_errors(args, flag, tmp_pat
     assert run_cli(args + ["--out", str(out)]) == 1
     assert not out.exists()
     assert f"usage error: {flag}:" in capsys.readouterr().err
+
+
+# The table cap is checked before any dB value is converted: converting a
+# 10^6-point --snr-db grid one value at a time took 1.7 s before the error.
+def test_table_cap_comes_before_any_db_conversion(monkeypatch, tmp_path, capsys):
+    conversions = []
+    real = cli.db_to_linear
+    monkeypatch.setattr(cli, "db_to_linear", lambda db: conversions.append(db) or real(db))
+    out = tmp_path / "out.csv"
+    args = ["sweep", "--constellation", "qam16", "--snr-db=0:999.999:0.001", "--sigma2", "1,2"]
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert conversions == []
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "usage error: --snr-db and --sigma2: 1000000 points x 2 noise ratios make "
+        "2000000 table cells, more than 1000000\n"
+    )
 
 
 def _deny_write(monkeypatch, *paths):

@@ -55,6 +55,14 @@ def test_rule_rejects_bad_orders(bad):
         gauss_hermite(bad)
 
 
+# A bool would build a rule of order 1 and a float would fail inside the
+# rule's construction; both are refused by name.
+@pytest.mark.parametrize("bad", [True, 32.0])
+def test_rule_rejects_an_order_that_is_not_an_integer(bad):
+    with pytest.raises(TypeError, match=f"^quadrature order must be an integer, got {bad!r}$"):
+        gauss_hermite(bad)
+
+
 def test_each_rule_is_built_once_and_errors_are_not_cached():
     assert gauss_hermite(7) is gauss_hermite(7)
     assert not gauss_hermite(7).nodes.flags.writeable
