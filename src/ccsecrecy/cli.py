@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -72,14 +71,14 @@ def parse_constellation_selector(selector: str) -> Constellation:
     if selector.startswith("file:"):
         path = Path(selector[5:])
         try:
-            payload = json.loads(path.read_text())
+            # Integers are read as floats, so one too large for a float is a bad file.
+            payload = json.loads(path.read_text("utf-8"), parse_int=lambda s: float(int(s)))
         except OSError as exc:
             raise ValueError(f"cannot read constellation file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, OverflowError) as exc:  # not UTF-8, not JSON, or a number too large
             raise ValueError(f"bad constellation file {path}: {exc}") from exc
         if not isinstance(payload, list) or not all(
-            isinstance(p, list) and len(p) == 2 and
-            all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+            isinstance(p, list) and len(p) == 2 and all(isinstance(v, float) for v in p)
             for p in payload
         ):
             raise ValueError(
@@ -215,22 +214,22 @@ def _cmd_rates(ns) -> int:
     variances = list(dict.fromkeys((1.0, *sigmas)))
     if ns.mc_samples is None:
         rule = gauss_hermite(ns.gh_order)
-        table = cc_mutual_information(c, snr, np.array(variances)[:, None], rule).bits.tolist()
+        bits = cc_mutual_information(c, snr, np.array(variances)[:, None], rule).bits.tolist()
         meta = {"method": "gauss_hermite", "gh_order": ns.gh_order, "mc_samples": None,
                 "seed": None}
     else:
         cfg = MCConfig(ns.mc_samples, ns.seed)
-        table = [[cc_mutual_information_mc(c, s, v, cfg).bits for s in snr] for v in variances]
+        bits = [[cc_mutual_information_mc(c, s, v, cfg).bits for s in snr] for v in variances]
         meta = {"method": "monte_carlo", "gh_order": None, "mc_samples": ns.mc_samples,
                 "seed": ns.seed}
-    main = table[0]
-    eves = [table[variances.index(sigma_sq)] for sigma_sq in sigmas]
+    table = dict(zip(variances, bits))
+    main = table[1.0]
     caps = gaussian_channel_capacity(snr).tolist()
     rows = [
-        dict(zip(RATE_COLUMNS, (c.name, db, sigma_sq, main[k], eve[k],
-                                max(0.0, main[k] - eve[k]), gauss_row[k], caps[k])))
+        dict(zip(RATE_COLUMNS, (c.name, db, sigma_sq, main[k], table[sigma_sq][k],
+                                max(0.0, main[k] - table[sigma_sq][k]), gauss_row[k], caps[k])))
         for k, db in enumerate(snr_db)
-        for sigma_sq, eve, gauss_row in zip(sigmas, eves, gauss_sc)
+        for sigma_sq, gauss_row in zip(sigmas, gauss_sc)
     ]
     return _emit(ns, RATE_COLUMNS, rows, **meta)
 
@@ -248,7 +247,7 @@ def _cmd_peaks(ns) -> int:
         raise UsageError(f"--sigma2: max-sweep takes strictly ascending values, got {ns.sigma2!r}")
     _check_table("--scan-db", len(grid_points(lo, hi, step)), sigmas)
     c = parse_constellation_selector(ns.constellation)
-    rows = [{"constellation": c.name, **asdict(r)} for r in sweep_max_vs_sigma(c, sigmas, opts)]
+    rows = [{"constellation": c.name, **vars(r)} for r in sweep_max_vs_sigma(c, sigmas, opts)]
     return _emit(ns, PEAK_COLUMNS, rows, method="gauss_hermite", gh_order=opts.gh_order,
                  scan_db=[lo, hi, step], tol_db=opts.tol_db)
 

@@ -165,26 +165,25 @@ def find_secrecy_maximum(
     return sweep_max_vs_sigma(c, [sigma_sq], opts)[0]
 
 
-def _grid_peaks(values: np.ndarray) -> np.ndarray:
-    """Indices of a scan's strict interior local maxima above NEGLIGIBLE.
+def _grid_peaks(curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, k) of every strict interior local maximum above NEGLIGIBLE, in row order.
 
-    Raises ValueError when the scan is negligible throughout or has no such
-    maximum.
+    curves holds one scan per row; owner is a maximum's row and k its grid
+    index. Raises ValueError for the first row without such a maximum, saying
+    whether the scan is negligible throughout.
     """
-    if float(values.max()) <= NEGLIGIBLE:
+    inner = curves[:, 1:-1]
+    peak = (inner > curves[:, :-2]) & (inner > curves[:, 2:]) & (inner > NEGLIGIBLE)
+    bare = ~peak.any(axis=1)
+    if bare.any():
         raise ValueError(
             "no interior maximum: secrecy capacity is negligible over the scan range"
-        )
-    inner = values[1:-1]
-    peaks = 1 + np.flatnonzero(
-        (inner > values[:-2]) & (inner > values[2:]) & (inner > NEGLIGIBLE)
-    )
-    if not peaks.size:
-        raise ValueError(
+            if float(curves[bare.argmax()].max()) <= NEGLIGIBLE else
             "no interior grid local maximum; widen the scan window so the peak "
             "does not sit on its edge"
         )
-    return peaks
+    owner, k = np.nonzero(peak)
+    return owner, k + 1
 
 
 def _refine(
@@ -197,9 +196,7 @@ def _refine(
     ratio without one raises. Then the brackets of all ratios are refined
     together, one secrecy call with the rule per golden-section step.
     """
-    peaks = [_grid_peaks(values) for values in curves]
-    ks = np.concatenate(peaks)
-    owner = np.repeat(np.arange(len(sigmas)), [p.size for p in peaks])
+    owner, ks = _grid_peaks(curves)
     bracket_sigma = np.asarray(sigmas, dtype=float)[owner]
 
     def objective(points: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -207,29 +204,22 @@ def _refine(
         return cc_secrecy_capacity(c, ch, rule).bits
 
     xs, fxs, steps = _golden_lockstep(objective, grid[ks - 1], grid[ks + 1], opts.tol_db)
-    results = []
-    for r, (sigma_sq, values) in enumerate(zip(sigmas, curves)):
-        best = None
-        for j in np.flatnonzero(owner == r):
-            k = ks[j]
-            x, fx = float(xs[j]), float(fxs[j])
-            if fx < values[k]:
-                # Keep the coarse grid point when refinement lands a hair lower.
-                x, fx = float(grid[k]), float(values[k])
-            if best is None or fx > best[1] + TIE_TOL:
-                best = (x, fx, (float(grid[k - 1]), float(grid[k + 1])), int(steps[j]))
-        x, fx, bracket, iterations = best
-        results.append(MaximumResult(
-            sigma_sq=sigma_sq,
-            snr_max_db=x,
-            snr_max_linear=db_to_linear(x),
-            c_max=fx,
-            bracket=bracket,
-            grid_local_maxima=len(peaks[r]),
-            iterations=iterations,
-            unimodal_ok=len(peaks[r]) == 1,
-        ))
-    return results
+    tops = curves[owner, ks]
+    best = {}  # ratio -> (x, f(x), bracket, iterations), filled in ratio order
+    for j, (r, k) in enumerate(zip(owner.tolist(), ks.tolist())):
+        x, fx = float(xs[j]), float(fxs[j])
+        if fx < tops[j]:
+            # Keep the coarse grid point when refinement lands a hair lower.
+            x, fx = float(grid[k]), float(tops[j])
+        if r not in best or fx > best[r][1] + TIE_TOL:
+            best[r] = (x, fx, (float(grid[k - 1]), float(grid[k + 1])), int(steps[j]))
+    return [
+        MaximumResult(sigma_sq=sigma_sq, snr_max_db=x, snr_max_linear=db_to_linear(x),
+                      c_max=fx, bracket=bracket, grid_local_maxima=count,
+                      iterations=iterations, unimodal_ok=count == 1)
+        for sigma_sq, count, (x, fx, bracket, iterations)
+        in zip(sigmas, np.bincount(owner).tolist(), best.values())
+    ]
 
 
 def sweep_max_vs_sigma(

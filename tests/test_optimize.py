@@ -342,6 +342,74 @@ def test_lockstep_refines_every_bracket_and_keeps_the_lower_snr_on_a_tie(monkeyp
         assert row.iterations == len(calls) - 3
 
 
+def _tents(*tents):
+    """A curve on the dB axis: the highest of tents (apex dB, height bits), 1 bit/dB steep."""
+    return lambda db: np.max(
+        [np.maximum(height - np.abs(db - apex), 0.0) for apex, height in tents] + [0.0 * db],
+        axis=0,
+    )
+
+
+def _rising(db):
+    """A curve that rises over the whole scan, so its only maximum is on the edge."""
+    return 1.0 + db / 100.0
+
+
+def _stand_in(curves, calls):
+    """A fake cc_secrecy_capacity: curves maps each noise ratio to its curve on the dB axis."""
+
+    def fake(c, ch, rule):
+        db, sigma_sq = np.broadcast_arrays(
+            10.0 * np.log10(np.asarray(ch.snr, dtype=float)), np.asarray(ch.sigma_sq, float)
+        )
+        bits = np.zeros(db.shape)
+        for ratio, curve in curves.items():
+            bits = np.where(sigma_sq == ratio, curve(db), bits)
+        calls.append(db.shape)
+        return MIEstimate(bits, "fake", 0.0)
+
+    return fake
+
+
+def test_each_ratio_keeps_its_own_brackets(monkeypatch):
+    # The scans show 2, 1 and 2 grid maxima. All five brackets are refined
+    # in one lockstep; each ratio reports its own count, best bracket and peak.
+    curves = {
+        5.0: _tents((2.1, 0.75), (8.1, 1.0)),
+        10.0: _tents((5.1, 0.5)),
+        20.0: _tents((2.1, 1.0), (8.1, 0.75)),
+    }
+    calls = []
+    monkeypatch.setattr(optimize, "cc_secrecy_capacity", _stand_in(curves, calls))
+    rows = sweep_max_vs_sigma(make_bpsk(), list(curves), FAST)
+    assert calls[:2] == [(3, 51), (10,)]
+    want = [(2, (7.5, 8.5), 8.1, 1.0), (1, (4.5, 5.5), 5.1, 0.5), (2, (1.5, 2.5), 2.1, 1.0)]
+    for row, sigma_sq, (count, bracket, apex, height) in zip(rows, curves, want):
+        assert row.sigma_sq == sigma_sq
+        assert (row.grid_local_maxima, row.unimodal_ok) == (count, count == 1)
+        assert row.bracket == bracket
+        assert abs(row.snr_max_db - apex) <= FAST.tol_db
+        assert abs(row.c_max - height) <= FAST.tol_db
+        assert row.iterations > 0
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [((_tents(), _rising), "negligible"), ((_rising, _tents()), "no interior grid local maximum")],
+    ids=["negligible-first", "edge-first"],
+)
+def test_the_first_ratio_without_a_grid_peak_names_the_error(later, message, monkeypatch):
+    # Ratio 5 has a peak; of the two later ratios, one scan is 0 throughout
+    # and one rises to the window's edge. The earlier one's error is raised,
+    # before any bracket is refined.
+    curves = {5.0: _tents((2.1, 1.0)), 10.0: later[0], 20.0: later[1]}
+    calls = []
+    monkeypatch.setattr(optimize, "cc_secrecy_capacity", _stand_in(curves, calls))
+    with pytest.raises(ValueError, match=message):
+        sweep_max_vs_sigma(make_bpsk(), list(curves), FAST)
+    assert calls == [(3, 51)]
+
+
 def test_peak_search_makes_one_secrecy_call_per_golden_step(monkeypatch):
     # Default options, 4 ratios with one bracket each: the scan, the first
     # two points of every bracket, 10 golden-section steps of 1 dB down to
