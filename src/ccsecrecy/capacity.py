@@ -156,13 +156,16 @@ def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
     the same values as its elements one at a time. A ratio too large for a
     float raises ValueError.
     """
-    if np.ndim(db):
-        flat = [db_to_linear(value) for value in np.ravel(db).tolist()]
-        return np.array(flat).reshape(np.shape(db))
-    try:
-        return 10.0 ** (float(db) / 10.0)
-    except OverflowError:
-        raise ValueError(f"{db} dB is too large: its linear ratio overflows a float") from None
+    linear = []
+    for value in np.ravel(db).tolist():
+        try:
+            value = float(value)
+            linear.append(10.0 ** (value / 10.0))
+        except OverflowError:
+            raise ValueError(
+                f"{value} dB is too large: its linear ratio overflows a float"
+            ) from None
+    return np.array(linear).reshape(np.shape(db)) if np.ndim(db) else linear[0]
 
 
 def _shifted_factor(t: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ from .constellation import (
     make_qam,
     min_distance,
 )
-from .integrate import MAX_ORDER, MCConfig, gauss_hermite
+from .integrate import MAX_ORDER, MCConfig, check_order, gauss_hermite
 from .optimize import (
     MAX_GRID_POINTS,
     SearchOptions,
@@ -207,18 +207,22 @@ def _cmd_rates(ns) -> int:
     snr_db = _parse_grid(ns.snr_db, "--snr-db")
     sigmas = _parse_grid(ns.sigma2, "--sigma2")
     _check_table("--snr-db", len(snr_db), sigmas)
+    _as_usage("--gh-order", check_order, ns.gh_order)
+    # A quadrature run checks --seed too, beside the fewest samples MCConfig takes.
+    _as_usage("--seed", MCConfig, 2, ns.seed)
+    cfg = (None if ns.mc_samples is None
+           else _as_usage("--mc-samples", MCConfig, ns.mc_samples, ns.seed))
     snr = _as_usage("--snr-db", db_to_linear, snr_db).tolist()
     c = parse_constellation_selector(ns.constellation)
     # The channel rejects a ratio below 1 before any rate is computed.
     gauss_sc = gaussian_secrecy_capacity(WiretapChannel(snr, np.array(sigmas)[:, None])).tolist()
     variances = list(dict.fromkeys((1.0, *sigmas)))
-    if ns.mc_samples is None:
+    if cfg is None:
         rule = gauss_hermite(ns.gh_order)
         bits = cc_mutual_information(c, snr, np.array(variances)[:, None], rule).bits.tolist()
         meta = {"method": "gauss_hermite", "gh_order": ns.gh_order, "mc_samples": None,
                 "seed": None}
     else:
-        cfg = MCConfig(ns.mc_samples, ns.seed)
         bits = [[cc_mutual_information_mc(c, s, v, cfg).bits for s in snr] for v in variances]
         meta = {"method": "monte_carlo", "gh_order": None, "mc_samples": ns.mc_samples,
                 "seed": ns.seed}
@@ -237,15 +241,15 @@ def _cmd_rates(ns) -> int:
 def _cmd_peaks(ns) -> int:
     """maximize and max-sweep: the refined peak for each noise ratio."""
     lo, hi, step = _parse_range(ns.scan_db, "--scan-db")
-    # argparse has checked --tol-db and --gh-order, so SearchOptions can only
-    # reject the scan grid: its order, its size, or a top value that overflows.
-    opts = _as_usage("--scan-db", SearchOptions, lo, hi, step, ns.tol_db, ns.gh_order)
+    # With the default tolerance, SearchOptions can only reject the scan grid:
+    # its order, its size, or a top value that overflows.
+    _as_usage("--scan-db", SearchOptions, lo, hi, step)
     sigmas = _parse_grid(ns.sigma2, "--sigma2")
     if ns.command == "maximize" and len(sigmas) != 1:
         raise UsageError("maximize takes a single --sigma2 value; use max-sweep for lists")
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise UsageError(f"--sigma2: max-sweep takes strictly ascending values, got {ns.sigma2!r}")
     _check_table("--scan-db", len(grid_points(lo, hi, step)), sigmas)
+    _as_usage("--gh-order", check_order, ns.gh_order)
+    opts = _as_usage("--tol-db", SearchOptions, lo, hi, step, ns.tol_db, ns.gh_order)
     c = parse_constellation_selector(ns.constellation)
     rows = [{"constellation": c.name, **vars(r)} for r in sweep_max_vs_sigma(c, sigmas, opts)]
     return _emit(ns, PEAK_COLUMNS, rows, method="gauss_hermite", gh_order=opts.gh_order,
@@ -257,31 +261,6 @@ def _cmd_constellation(ns) -> int:
     rows = [{"index": k, "re": p.real, "im": p.imag} for k, p in enumerate(c.points.tolist())]
     return _emit(ns, POINT_COLUMNS, rows, digits=17, name=c.name, size=c.size,
                  avg_energy=average_energy(c), min_distance=min_distance(c))
-
-
-def _number_in(kind, low, high, bounds: str):
-    """argparse type for a number of the kind (int or float) in [low, high)."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
-        # Written so that NaN is rejected too.
-        if not low <= value < high:
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
-        return value
-
-    return parse
-
-
-_gh_order = _number_in(int, 1, MAX_ORDER + 1, f"in [1, {MAX_ORDER}]")
-# A standard error needs at least two samples; the stream holds 2^63.
-_mc_samples = _number_in(int, 2, 2**63, "in [2, 2^63)")
-_seed = _number_in(int, 0, 2**64, "in [0, 2^64)")
-# math.ulp(0.0) is the smallest float above 0.
-_tol_db = _number_in(float, math.ulp(0.0), math.inf, "positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,23 +290,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma2", required=name != "mi", default="1" if name == "mi" else None,
                        help="eavesdropper noise ratio(s): a comma list or start:stop:step; their "
                             f"count times the SNR or scan points at most {MAX_GRID_POINTS}")
-        p.add_argument("--gh-order", type=_gh_order, default=32,
+        p.add_argument("--gh-order", type=int, default=32,
                        help=f"Gauss-Hermite order in [1, {MAX_ORDER}] (default 32)")
         if func is _cmd_rates:
             p.add_argument("--snr-db", required=True,
                            help="SNR in dB: a comma list or start:stop:step; its points times "
                                 f"the --sigma2 values at most {MAX_GRID_POINTS} "
                                 "(write --snr-db=-10:40:0.5 when it starts negative)")
-            p.add_argument("--mc-samples", type=_mc_samples, default=None,
+            p.add_argument("--mc-samples", type=int, default=None,
                            help="switch to Monte-Carlo with this many samples, in [2, 2^63)")
-            p.add_argument("--seed", type=_seed, default=0,
+            p.add_argument("--seed", type=int, default=0,
                            help="Monte-Carlo seed in [0, 2^64) (default 0)")
         else:
             p.add_argument("--scan-db", default="-30:50:0.5",
                            help="coarse scan window lo:hi:step in dB; its points times "
                                 f"the --sigma2 values at most {MAX_GRID_POINTS} "
                                 "(write --scan-db=-30:50:0.5 when it starts negative)")
-            p.add_argument("--tol-db", type=_tol_db, default=0.01,
+            p.add_argument("--tol-db", type=float, default=0.01,
                            help="refinement tolerance in dB, above 0 (default 0.01)")
     return parser
 

@@ -117,6 +117,14 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def check_order(n: int) -> None:
+    """gauss_hermite's check of an order, run without building its rule."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"quadrature order must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {n}")
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not find 4's rule
 def gauss_hermite(n: int) -> HermiteRule:
     """Compute the order-n Gauss-Hermite quadrature rule, once per order.
@@ -136,10 +144,7 @@ def gauss_hermite(n: int) -> HermiteRule:
         Calls with the same order share it; it is frozen and its arrays are
         read-only.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"quadrature order must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"quadrature order must be in [1, {MAX_ORDER}], got {n}")
+    check_order(n)
     nodes, weights = _hermite_rule(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False

@@ -225,7 +225,7 @@ def _refine(
 def sweep_max_vs_sigma(
     c: Constellation, sigma_list: Sequence[float], opts: SearchOptions | None = None
 ) -> list[MaximumResult]:
-    """Refined secrecy maximum for each noise ratio in an ascending list.
+    """Refined secrecy maximum for each noise ratio of a list, in list order.
 
     One scan covers every ratio, so the main-channel curve is computed once,
     and each ratio's scan is then refined as find_secrecy_maximum describes,
@@ -243,8 +243,6 @@ def sweep_max_vs_sigma(
             raise ValueError(
                 f"eavesdropper noise ratio must exceed 1 for a positive peak, got {sigma_sq}"
             )
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError("noise ratios must be strictly ascending")
     opts = opts or SearchOptions()
     grid, curves = scan_secrecy_grid(c, np.array(sigmas, dtype=float)[:, None], opts)
     return _refine(c, sigmas, grid, curves, opts, gauss_hermite(opts.gh_order))

@@ -891,6 +891,9 @@ def test_db_to_linear_arrays_and_overflow():
     for bad in (4000.0, np.float64(3500.0), np.array([0.0, 4000.0])):
         with pytest.raises(ValueError, match="dB is too large"):
             db_to_linear(bad)
+    # An array names its first value that overflows.
+    with pytest.raises(ValueError, match=r"^3500\.0 dB is too large"):
+        db_to_linear([0, 3500, 4000])
 
 
 def test_gaussian_secrecy_capacity_of_an_array_channel():

@@ -362,13 +362,17 @@ def test_maximize_rejects_sigma_list():
     ) == 1
 
 
-@pytest.mark.parametrize("sigmas", ["10,5", "5,5"])
-def test_max_sweep_rejects_a_sigma_list_out_of_order(sigmas, capsys):
-    # A usage error, found before the constellation is built: building qam7
-    # would be a domain error (exit 2).
-    for name in ("bpsk", "qam7"):
-        assert run_cli(["max-sweep", "--constellation", name, "--sigma2", sigmas]) == 1
-        assert "--sigma2: max-sweep takes strictly ascending" in capsys.readouterr().err
+def test_max_sweep_rows_follow_the_sigma_list_order(capsys):
+    # max-sweep takes a --sigma2 list in any order, repeats included: each
+    # value's row stands where the value stands, byte for byte its own
+    # maximize row.
+    def rows(command, sigma2):
+        assert run_cli([command, "--constellation", "bpsk", "--sigma2", sigma2]) == 0
+        return capsys.readouterr().out.splitlines()[1:]
+
+    alone = {s: rows("maximize", s) for s in ("5", "10", "20")}
+    sigmas = "20,5,10,5".split(",")
+    assert rows("max-sweep", ",".join(sigmas)) == [row for s in sigmas for row in alone[s]]
 
 
 def test_max_sweep_csv(tmp_path):
@@ -436,13 +440,36 @@ def test_surface_cross_product(tmp_path):
     assert len(rows) == 3 * 3
 
 
+def _rejected(args, tmp_path, capsys) -> str:
+    """The stderr of args run with an --out file; the run must exit 1 and write nothing."""
+    out = tmp_path / "out.csv"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+# The library checks the range of each numeric flag (integrate.check_order,
+# MCConfig, SearchOptions) and the CLI names the flag; a value that is not a
+# number of the flag's type is argparse's error, which names the flag too.
+def _flag_error(flag: str, value: str) -> str:
+    kind = float if flag == "--tol-db" else int
+    try:
+        kind(value)
+    except ValueError:
+        return f"argument {flag}: invalid {kind.__name__} value: {value!r}"
+    return f"usage error: {flag}: "
+
+
 @pytest.mark.parametrize("order", ["0", "-3", "201", "x"])
-def test_gh_order_out_of_range_is_usage_error(order):
+def test_gh_order_out_of_range_is_usage_error(order, tmp_path, capsys):
     for args in (
         ["sweep", "--constellation", "bpsk", "--snr-db", "5", "--sigma2", "4"],
+        # A Monte-Carlo run does not use the order, but checks it.
+        ["mi", "--constellation", "bpsk", "--snr-db", "0", "--mc-samples", "100"],
         ["maximize", "--constellation", "bpsk", "--sigma2", "4"],
     ):
-        assert run_cli(args + [f"--gh-order={order}"]) == 1
+        err = _rejected(args + [f"--gh-order={order}"], tmp_path, capsys)
+        assert _flag_error("--gh-order", order) in err
 
 
 @pytest.mark.parametrize("command", ["maximize", "max-sweep"])
@@ -465,11 +492,38 @@ def test_peak_commands_reject_monte_carlo_flags(command, flag):
     ids=["samples-0", "samples-1", "samples-negative", "samples-nonint",
          "samples-2^63", "seed-negative", "seed-2^64"],
 )
-def test_monte_carlo_flags_out_of_range_are_usage_errors(flag, tmp_path):
-    out = tmp_path / "mi.csv"
-    args = ["mi", "--constellation", "bpsk", "--snr-db", "0", "--out", str(out)]
-    assert run_cli(args + ["--mc-samples", "100"] + flag) == 1
-    assert not out.exists()
+def test_monte_carlo_flags_out_of_range_are_usage_errors(flag, tmp_path, capsys):
+    args = ["mi", "--constellation", "bpsk", "--snr-db", "0", "--mc-samples", "100", *flag]
+    assert _flag_error(*flag) in _rejected(args, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_is_checked_on_a_quadrature_run(seed, tmp_path, capsys):
+    # A quadrature run does not use the seed, but checks it.
+    args = ["mi", "--constellation", "bpsk", "--snr-db", "0", "--seed", seed]
+    assert "usage error: --seed: " in _rejected(args, tmp_path, capsys)
+
+
+def test_an_unusable_out_is_reported_before_an_out_of_range_flag(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "out.csv"
+    args = ["mi", "--constellation", "bpsk", "--snr-db", "0", "--gh-order", "0"]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
+def test_monte_carlo_rate_run_builds_no_quadrature_rule(monkeypatch, tmp_path):
+    # The MC path checks --gh-order without building its rule, which would
+    # raise the MC run's peak memory; the quadrature run is the control.
+    def no_rule(n):
+        raise _Stop
+
+    gauss_hermite.cache_clear()
+    monkeypatch.setattr(integrate, "_hermite_rule", no_rule)
+    args = ["sweep", "--constellation", "qam16", "--snr-db", "0,10", "--sigma2", "5",
+            "--out", str(tmp_path / "out.csv")]
+    assert run_cli(args + ["--mc-samples", "100"]) == 0
+    with pytest.raises(_Stop):
+        run_cli(args)
 
 
 def test_monte_carlo_flag_range_edges_are_accepted(tmp_path):
@@ -508,12 +562,10 @@ def test_nonfinite_numbers_are_usage_errors(args, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["maximize", "max-sweep"])
-@pytest.mark.parametrize("tol", ["0", "-1"])
-def test_tol_db_must_be_a_positive_number(command, tol, tmp_path):
-    out = tmp_path / "out.csv"
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "x"])
+def test_tol_db_must_be_a_positive_number(command, tol, tmp_path, capsys):
     args = [command, "--constellation", "bpsk", "--sigma2", "5", f"--tol-db={tol}"]
-    assert run_cli(args + ["--out", str(out)]) == 1
-    assert not out.exists()
+    assert _flag_error("--tol-db", tol) in _rejected(args, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ["mi", "sweep"])

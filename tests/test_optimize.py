@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ccsecrecy import (
     from_points,
     gauss_hermite,
     make_bpsk,
+    make_psk,
     make_qam,
     scan_secrecy_grid,
     sweep_max_vs_sigma,
@@ -241,10 +243,21 @@ def test_sweep_validation():
         sweep_max_vs_sigma(make_bpsk(), [], FAST)
     with pytest.raises(ValueError, match="exceed 1"):
         sweep_max_vs_sigma(make_bpsk(), [0.5, 2.0], FAST)
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_max_vs_sigma(make_bpsk(), [5.0, 2.0], FAST)
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_max_vs_sigma(make_bpsk(), [2.0, 2.0], FAST)
+
+
+def test_sweep_takes_the_ratios_in_any_order():
+    # A shuffled list with repeats gives each ratio, in list order, the result
+    # of the sorted list, up to the last bits of c_max that an array call may
+    # round differently (bpsk's c_max at 2 moves by 1 ulp here).
+    shuffled = [20.0, 2.0, 5.0, 20.0, 2.0]
+    for c in (make_bpsk(), make_qam(16), make_psk(8)):
+        ordered = {r.sigma_sq: r for r in sweep_max_vs_sigma(c, [2.0, 5.0, 20.0], FAST)}
+        got = sweep_max_vs_sigma(c, shuffled, FAST)
+        assert [r.sigma_sq for r in got] == shuffled
+        for r in got:
+            want = ordered[r.sigma_sq]
+            assert replace(r, c_max=want.c_max) == want
+            assert abs(r.c_max - want.c_max) <= 4e-15
 
 
 def test_search_options_bound_the_grid():
