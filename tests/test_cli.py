@@ -362,7 +362,8 @@ def test_maximize_rejects_sigma_list():
     ) == 1
 
 
-def test_max_sweep_rows_follow_the_sigma_list_order(capsys):
+@pytest.mark.parametrize("sigmas", ["10,5", "5,5", "20,5,10,5"])
+def test_max_sweep_rows_follow_the_sigma_list_order(sigmas, capsys):
     # max-sweep takes a --sigma2 list in any order, repeats included: each
     # value's row stands where the value stands, byte for byte its own
     # maximize row.
@@ -370,9 +371,9 @@ def test_max_sweep_rows_follow_the_sigma_list_order(capsys):
         assert run_cli([command, "--constellation", "bpsk", "--sigma2", sigma2]) == 0
         return capsys.readouterr().out.splitlines()[1:]
 
-    alone = {s: rows("maximize", s) for s in ("5", "10", "20")}
-    sigmas = "20,5,10,5".split(",")
-    assert rows("max-sweep", ",".join(sigmas)) == [row for s in sigmas for row in alone[s]]
+    values = sigmas.split(",")
+    alone = {s: rows("maximize", s) for s in set(values)}
+    assert rows("max-sweep", sigmas) == [row for s in values for row in alone[s]]
 
 
 def test_max_sweep_csv(tmp_path):
